@@ -180,7 +180,30 @@ let dqvl_sim ~ops () =
   in
   ignore (Dq_harness.Driver.run engine topology instance.Dq_harness.Registry.api config)
 
-let tests =
+(* The offline checkers' input: a 12k-op DQVL history on 4 hot shared
+   keys (3 clients x 4000 ops, a quarter of them writes). *)
+let hot_key_history () =
+  let engine = Dq_sim.Engine.create ~seed:3L () in
+  let topology = E.paper_topology ~n_servers:5 () in
+  let builder = Dq_harness.Registry.dqvl ~volume_lease_ms:1_000. ~proactive_renew:false () in
+  let instance = builder.Dq_harness.Registry.build engine topology () in
+  let spec =
+    {
+      Dq_workload.Spec.default with
+      Dq_workload.Spec.write_ratio = 0.25;
+      locality = 1.0;
+      sharing = Dq_workload.Spec.Shared_uniform { objects = 4 };
+    }
+  in
+  let config =
+    { (Dq_harness.Driver.default_config spec) with Dq_harness.Driver.ops_per_client = 4_000 }
+  in
+  (Dq_harness.Driver.run engine topology instance.Dq_harness.Registry.api config)
+    .Dq_harness.Driver.history
+
+let tests () =
+  (* Built once, outside the measured closures. *)
+  let history = hot_key_history () in
   Test.make_grouped ~name:"dual-quorum" ~fmt:"%s %s"
     [
       (* One Test.make per figure: the cost of regenerating it. *)
@@ -203,6 +226,10 @@ let tests =
              ignore
                (Dq_quorum.Availability.unavailability qs ~mode:Dq_quorum.Availability.Write
                   ~p:0.01)));
+      Test.make ~name:"regular check 12k-op hot-key history"
+        (Staged.stage (fun () -> ignore (Dq_harness.Regular_checker.check history)));
+      Test.make ~name:"staleness measure 12k-op hot-key history"
+        (Staged.stage (fun () -> ignore (Dq_harness.Staleness.measure history)));
     ]
 
 let run_benchmarks () =
@@ -212,7 +239,7 @@ let run_benchmarks () =
   let cfg =
     Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~kde:(Some 10) ~stabilize:false ()
   in
-  let raw = Benchmark.all cfg instances tests in
+  let raw = Benchmark.all cfg instances (tests ()) in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let table = Table.create ~header:[ "benchmark"; "ns/run"; "r^2" ] in
   let rows =

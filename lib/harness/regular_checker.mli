@@ -27,6 +27,9 @@ type report = {
 }
 
 val check : History.op list -> report
+(** O(n log n) for [n] operations: each key's completed writes are
+    sorted once by response time, and each completed read is one binary
+    search over them. Violations are listed in history order. *)
 
 val is_regular : History.op list -> bool
 
@@ -45,7 +48,9 @@ val new_old_inversions : History.op list -> inversion list
 (** Pairs of non-overlapping completed reads of the same key where the
     later read returned an older write — permitted by regular
     semantics (when concurrent with writes) but forbidden by atomic
-    (linearizable) semantics. *)
+    (linearizable) semantics. Sorted by the two reads' ids.
+    O(n log n + k) for [k] reported inversions: one sweep per key in
+    invocation order over the reads that have already responded. *)
 
 val is_atomic : History.op list -> bool
 (** Regular and free of new-old inversions. For histories whose writes

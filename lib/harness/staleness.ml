@@ -10,56 +10,100 @@ type report = {
   max_versions_behind : int;
 }
 
-(* Completed writes on one key, sorted by logical clock. *)
-let completed_writes ops key =
-  List.filter_map
-    (fun (op : History.op) ->
-      match op.kind, op.responded, op.lc with
-      | History.Write, Some ended, Some lc when Key.equal op.key key -> Some (lc, ended)
-      | _ -> None)
-    ops
-  |> List.sort (fun (a, _) (b, _) -> Lc.compare a b)
+(* Completed operations carry both a response time and a clock. *)
+let end_of (op : History.op) = match op.responded with Some t -> t | None -> infinity
+let lc_of (op : History.op) = match op.lc with Some lc -> lc | None -> Lc.zero
 
-let examine ~writes (r : History.op) =
-  match r.responded, r.lc with
-  | Some r_end, Some r_lc ->
-    (* Writes that completed before the read finished and supersede the
-       value it returned. *)
-    let missed =
-      List.filter (fun (w_lc, w_end) -> Lc.(w_lc > r_lc) && w_end <= r.invoked) writes
-    in
-    (match missed with
-    | [] -> None
-    | _ ->
-      let latest_end =
-        List.fold_left (fun acc (_, w_end) -> Float.max acc w_end) neg_infinity missed
-      in
-      Some
-        {
-          read = r;
-          behind_ms = r_end -. latest_end;
-          versions_behind = List.length missed;
-        })
-  | _ -> None
+(* How many of the ascending [clocks] are [<= lc]. *)
+let count_upto clocks lc =
+  let lo = ref 0 and hi = ref (Array.length clocks) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Lc.(clocks.(mid) <= lc) then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
+(* One key's stale reads, stored at their slots in [found]. [slots]
+   index the key's clocked completed reads in [reads]. A read is stale
+   when writes with a newer clock completed before it began; sweeping
+   the reads in invocation order, those writes are inserted in response
+   order into a Fenwick tree over the key's sorted clocks, highest
+   first, whose nodes hold a count and the latest response time. *)
+let examine_key ~reads ~found writes slots =
+  let writes = Array.of_list writes in
+  Array.stable_sort (fun a b -> Float.compare (end_of a) (end_of b)) writes;
+  let clocks = Array.map lc_of writes in
+  Array.stable_sort Lc.compare clocks;
+  let d = Array.length clocks in
+  (* 1-based: prefix [1, k] holds the writes among the [k] highest
+     clocks. A write goes to the last position of its clock. *)
+  let count = Array.make (d + 1) 0 and latest = Array.make (d + 1) neg_infinity in
+  let slots = Array.of_list slots in
+  Array.stable_sort
+    (fun a b -> Float.compare reads.(a).History.invoked reads.(b).History.invoked)
+    slots;
+  let next = ref 0 in
+  Array.iter
+    (fun slot ->
+      let r : History.op = reads.(slot) in
+      while !next < Array.length writes && end_of writes.(!next) <= r.invoked do
+        let w_end = end_of writes.(!next) in
+        let k = ref (d - count_upto clocks (lc_of writes.(!next)) + 1) in
+        while !k <= d do
+          count.(!k) <- count.(!k) + 1;
+          (* Writes arrive in response order: the last is the latest. *)
+          latest.(!k) <- w_end;
+          k := !k + (!k land (- !k))
+        done;
+        incr next
+      done;
+      let missed = ref 0 and latest_end = ref neg_infinity in
+      let k = ref (d - count_upto clocks (lc_of r)) in
+      while !k > 0 do
+        missed := !missed + count.(!k);
+        if latest.(!k) > !latest_end then latest_end := latest.(!k);
+        k := !k - (!k land (- !k))
+      done;
+      if !missed > 0 then
+        found.(slot) <-
+          Some { read = r; behind_ms = end_of r -. !latest_end; versions_behind = !missed })
+    slots
+
+type group = { mutable writes : History.op list; mutable slots : int list }
+
+(* O(n log n): one pass groups completed writes and reads by key, then
+   each key is one sweep. *)
 let measure ops =
-  let keys = Hashtbl.create 16 in
+  let by_key = Hashtbl.create 16 in
+  let group key =
+    match Hashtbl.find_opt by_key key with
+    | Some g -> g
+    | None ->
+      let g = { writes = []; slots = [] } in
+      Hashtbl.add by_key key g;
+      g
+  in
+  let reads = ref [] and n = ref 0 in
   List.iter
     (fun (op : History.op) ->
-      if not (Hashtbl.mem keys op.key) then Hashtbl.add keys op.key (completed_writes ops op.key))
+      match op.kind, op.responded, op.lc with
+      | History.Write, Some _, Some _ ->
+        let g = group op.key in
+        g.writes <- op :: g.writes
+      | History.Read, Some _, lc ->
+        if Option.is_some lc then begin
+          let g = group op.key in
+          g.slots <- !n :: g.slots
+        end;
+        reads := op :: !reads;
+        incr n
+      | _ -> ())
     ops;
-  let reads =
-    List.filter
-      (fun (op : History.op) ->
-        op.kind = History.Read && Option.is_some op.responded)
-      ops
-  in
+  let reads = Array.of_list (List.rev !reads) in
+  let found = Array.make !n None in
+  Hashtbl.iter (fun _ g -> examine_key ~reads ~found g.writes g.slots) by_key;
   let stale =
-    List.filter_map
-      (fun r ->
-        let writes = Option.value (Hashtbl.find_opt keys r.History.key) ~default:[] in
-        examine ~writes r)
-      reads
+    Array.fold_right (fun s acc -> match s with Some s -> s :: acc | None -> acc) found []
   in
   let max_behind_ms = List.fold_left (fun acc s -> Float.max acc s.behind_ms) 0. stale in
   let mean_behind_ms =
@@ -72,7 +116,7 @@ let measure ops =
   let max_versions_behind =
     List.fold_left (fun acc s -> Stdlib.max acc s.versions_behind) 0 stale
   in
-  { checked = List.length reads; stale; max_behind_ms; mean_behind_ms; max_versions_behind }
+  { checked = !n; stale; max_behind_ms; mean_behind_ms; max_versions_behind }
 
 type age_report = { reads : int; mean_age_ms : float; max_age_ms : float }
 
@@ -82,15 +126,16 @@ type age_report = { reads : int; mean_age_ms : float; max_age_ms : float }
    flight (or the value is the initial one), matching the online
    definition where only already-completed writes are visible. *)
 let measure_age ops =
-  let keys = Hashtbl.create 16 in
-  let writes_for key =
-    match Hashtbl.find_opt keys key with
-    | Some ws -> ws
-    | None ->
-      let ws = completed_writes ops key in
-      Hashtbl.add keys key ws;
-      ws
-  in
+  (* (key, clock) -> response time of the first completed write with
+     that clock, in history order. *)
+  let completed = Hashtbl.create 64 in
+  List.iter
+    (fun (op : History.op) ->
+      match op.kind, op.responded, op.lc with
+      | History.Write, Some w_end, Some lc ->
+        if not (Hashtbl.mem completed (op.key, lc)) then Hashtbl.add completed (op.key, lc) w_end
+      | _ -> ())
+    ops;
   let reads = ref 0 in
   let sum = ref 0. in
   let max_age = ref 0. in
@@ -103,10 +148,8 @@ let measure_age ops =
           match op.lc with
           | None -> 0.
           | Some r_lc ->
-            (match
-               List.find_opt (fun (w_lc, _) -> Lc.equal w_lc r_lc) (writes_for op.key)
-             with
-            | Some (_, w_end) when w_end <= r_end -> r_end -. w_end
+            (match Hashtbl.find_opt completed (op.key, r_lc) with
+            | Some w_end when w_end <= r_end -> r_end -. w_end
             | _ -> 0.)
         in
         sum := !sum +. age;

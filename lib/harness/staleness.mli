@@ -10,6 +10,9 @@
     - {b version staleness}: how many completed writes the read lagged
       behind.
 
+    A write counts against a read when it completed before the read
+    began and carries a newer clock than the value returned.
+
     For protocols with regular semantics both are always zero. *)
 
 type stale_read = {
@@ -27,6 +30,9 @@ type report = {
 }
 
 val measure : History.op list -> report
+(** O(n log n) for [n] operations: one sweep per key over its reads in
+    invocation order, with the completed writes in a Fenwick tree over
+    their clocks. Stale reads are listed in history order. *)
 
 type age_report = {
   reads : int;          (** completed reads examined *)
@@ -39,7 +45,8 @@ val measure_age : History.op list -> age_report
     since the write that produced the returned version completed, 0
     when that write's response was still in flight at read completion
     or the value is the initial one — the offline twin of the online
-    {!Dq_telemetry.Aoi} read-age metric. *)
+    {!Dq_telemetry.Aoi} read-age metric. O(n) expected: one hash lookup per
+    read. *)
 
 val stale_fraction : report -> float
 (** Stale reads over checked reads; [0.] when no reads completed. *)
