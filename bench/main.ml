@@ -1,7 +1,8 @@
-(* The benchmark harness: regenerates every table/figure of the paper's
-   evaluation (Section 4) and then runs Bechamel microbenchmarks - one
-   Test.make per figure (measuring the computation that regenerates it)
-   plus microbenchmarks of the hot paths.
+(* The benchmark harness: regenerates every figure of the paper's
+   evaluation (Section 4) and every ablation, in the order of
+   [Dq_harness.Render.catalogue], then runs Bechamel microbenchmarks -
+   one Test.make per figure (measuring the computation that regenerates
+   it) plus microbenchmarks of the hot paths.
 
    Usage: main.exe [-j N] [--smoke] [--out BENCH_<n>.json]
 
@@ -19,146 +20,7 @@ module Table = Dq_util.Table
 open Bechamel
 open Toolkit
 
-let section title =
-  Printf.printf "\n== %s ==\n\n" title
-
-let f2 x = Printf.sprintf "%.2f" x
-
-(* --- figure regeneration ------------------------------------------------ *)
-
-let print_fig6a () =
-  section "Figure 6(a): response time at 5% writes (ms)";
-  Table.print (Render.response_rows ~title:"protocol" (E.fig6a ()))
-
-let print_fig6b () =
-  section "Figure 6(b): mean response time vs write ratio (ms)";
-  Table.print (Render.sweep ~title:"" ~x_label:"write ratio" ~x_of:f2 (E.fig6b ()))
-
-let print_fig7a () =
-  section "Figure 7(a): response time at 5% writes, 90% locality (ms)";
-  Table.print (Render.response_rows ~title:"protocol" (E.fig7a ()))
-
-let print_fig7b () =
-  section "Figure 7(b): mean response time vs access locality (ms)";
-  Table.print (Render.sweep ~title:"" ~x_label:"locality" ~x_of:f2 (E.fig7b ()))
-
-let print_fig8a () =
-  section "Figure 8(a): unavailability vs write ratio (n=15, p=0.01)";
-  Table.print
-    (Render.series ~title:"" ~x_label:"write ratio" ~x_of:f2 ~fmt:Render.scientific
-       (E.fig8a ()))
-
-let print_fig8b () =
-  section "Figure 8(b): unavailability vs number of replicas (w=0.25, p=0.01)";
-  Table.print
-    (Render.series ~title:"" ~x_label:"replicas" ~x_of:string_of_int ~fmt:Render.scientific
-       (E.fig8b ()))
-
-let print_fig8_measured () =
-  section
-    "Figure 8 cross-check: measured unavailability under churn (p=0.1, w=0.25, redirection)";
-  let t = Table.create ~header:[ "protocol"; "measured unavail"; "model unavail (p=0.1)" ] in
-  let model =
-    match E.fig8a ~p:0.1 ~n:9 ~write_ratios:[ 0.25 ] () with
-    | [ (_, series) ] -> series
-    | _ -> []
-  in
-  List.iter
-    (fun (name, measured) ->
-      Table.add_row t
-        [
-          name;
-          Render.scientific measured;
-          (match List.assoc_opt name model with
-          | Some v -> Render.scientific v
-          | None -> "-");
-        ])
-    (E.fig8_measured ());
-  Table.print t
-
-let print_fig9a () =
-  section "Figure 9(a): messages per request vs write ratio (model)";
-  Table.print (Render.series ~title:"" ~x_label:"write ratio" ~x_of:f2 (E.fig9a ()));
-  section "Figure 9(a) cross-check: measured DQVL messages per request";
-  Table.print
-    (Render.series ~title:"" ~x_label:"write ratio" ~x_of:f2
-       (List.map (fun (w, v) -> (w, [ ("dqvl measured", v) ])) (E.fig9a_measured ())))
-
-let print_fig9b () =
-  section "Figure 9(b): messages per request vs OQS size (IQS fixed at 5, w=0.25)";
-  Table.print
-    (Render.series ~title:"" ~x_label:"OQS size" ~x_of:string_of_int (E.fig9b ()))
-
-let print_bandwidth () =
-  section "Bandwidth: measured messages and bytes per request (w=0.25)";
-  let t = Table.create ~header:[ "protocol"; "msgs/request"; "bytes/request" ] in
-  List.iter
-    (fun (name, mpr, bpr) ->
-      Table.add_row t [ name; Printf.sprintf "%.1f" mpr; Printf.sprintf "%.0f" bpr ])
-    (E.bandwidth ());
-  Table.print t
-
-let print_saturation () =
-  section
-    "Load study (beyond the paper): open-loop arrivals, 1 ms/message service time (mean ms)";
-  Table.print
-    (Render.series ~title:"" ~x_label:"req/s per client"
-       ~x_of:(Printf.sprintf "%.0f")
-       ~fmt:(Printf.sprintf "%.1f")
-       (E.saturation ()))
-
-let print_ablations () =
-  section "Ablation: DQVL vs basic dual quorum (value of volume leases)";
-  Table.print (Render.response_rows ~title:"protocol" (E.ablation_leases ()));
-  section "Ablation: volume lease length (on-demand renewal)";
-  Table.print
-    (Render.response_rows ~title:"config"
-       (List.map
-          (fun (lease, r) -> { r with E.protocol = Printf.sprintf "dqvl L=%.0fms" lease })
-          (E.ablation_lease_len ())));
-  section "Ablation: workload burstiness at 50% writes";
-  Table.print
-    (Render.response_rows ~title:"config"
-       (List.map
-          (fun (mean, r) -> { r with E.protocol = Printf.sprintf "dqvl burst=%.0f" mean })
-          (E.ablation_bursts ())));
-  section "Ablation: OQS read quorum size (paper future work)";
-  Table.print
-    (Render.response_rows ~title:"config" (List.map snd (E.ablation_orq ())));
-  section "Ablation: grid-quorum IQS availability (paper future work)";
-  Table.print
-    (Render.series ~title:"" ~x_label:"replicas" ~x_of:string_of_int ~fmt:Render.scientific
-       (E.ablation_grid ()));
-  section "Ablation: finite object leases (paper footnote 4; scattered readers, think time)";
-  let t = Table.create ~header:[ "config"; "msgs/request"; "mean write ms" ] in
-  List.iter
-    (fun (name, mpr, write_ms) ->
-      Table.add_row t [ name; Printf.sprintf "%.1f" mpr; Printf.sprintf "%.1f" write_ms ])
-    (E.ablation_object_lease ());
-  Table.print t;
-  section "Ablation: batched volume-lease renewals (6 volumes, 20 s, proactive)";
-  let t = Table.create ~header:[ "policy"; "renewal requests" ] in
-  List.iter
-    (fun (name, n) -> Table.add_row t [ name; string_of_int n ])
-    (E.ablation_batch_renewals ());
-  Table.print t;
-  section "Ablation: the cost of atomic semantics (read-imposition, paper future work)";
-  Table.print (Render.response_rows ~title:"protocol" (E.ablation_atomic ()));
-  section "Ablation: read staleness under 30% message loss (shared object, 50% writes)";
-  let t =
-    Table.create ~header:[ "protocol"; "stale reads"; "mean behind (ms)"; "max behind (ms)" ]
-  in
-  List.iter
-    (fun (r : E.staleness_row) ->
-      Table.add_row t
-        [
-          r.E.s_protocol;
-          Printf.sprintf "%.1f%%" (100. *. r.E.s_stale_fraction);
-          Printf.sprintf "%.0f" r.E.s_mean_behind_ms;
-          Printf.sprintf "%.0f" r.E.s_max_behind_ms;
-        ])
-    (E.ablation_staleness ());
-  Table.print t
+let section = Render.print_heading
 
 (* --- bechamel microbenchmarks -------------------------------------------- *)
 
@@ -268,40 +130,6 @@ let run_benchmarks () =
 
 (* --- figure regeneration wall-clock, serial vs parallel ----------------- *)
 
-(* Each figure: its printing function (used for the serial pass, so the
-   tables appear exactly once) and a silent compute thunk doing the same
-   work (used for the timed parallel pass). *)
-let figures =
-  [
-    ("fig6a", print_fig6a, fun () -> ignore (E.fig6a ()));
-    ("fig6b", print_fig6b, fun () -> ignore (E.fig6b ()));
-    ("fig7a", print_fig7a, fun () -> ignore (E.fig7a ()));
-    ("fig7b", print_fig7b, fun () -> ignore (E.fig7b ()));
-    ("fig8a", print_fig8a, fun () -> ignore (E.fig8a ()));
-    ("fig8b", print_fig8b, fun () -> ignore (E.fig8b ()));
-    ("fig8_measured", print_fig8_measured, fun () -> ignore (E.fig8_measured ()));
-    ( "fig9a",
-      print_fig9a,
-      fun () ->
-        ignore (E.fig9a ());
-        ignore (E.fig9a_measured ()) );
-    ("fig9b", print_fig9b, fun () -> ignore (E.fig9b ()));
-    ("bandwidth", print_bandwidth, fun () -> ignore (E.bandwidth ()));
-    ("saturation", print_saturation, fun () -> ignore (E.saturation ()));
-    ( "ablations",
-      print_ablations,
-      fun () ->
-        ignore (E.ablation_leases ());
-        ignore (E.ablation_lease_len ());
-        ignore (E.ablation_bursts ());
-        ignore (E.ablation_orq ());
-        ignore (E.ablation_grid ());
-        ignore (E.ablation_object_lease ());
-        ignore (E.ablation_batch_renewals ());
-        ignore (E.ablation_atomic ());
-        ignore (E.ablation_staleness ()) );
-  ]
-
 let time_it f =
   let t0 = Unix.gettimeofday () in
   f ();
@@ -381,18 +209,6 @@ let run_events_per_sec ~jobs cfg =
 
 (* --- BENCH_<n>.json ------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
 
 let json_opt = function Some x -> json_float x | None -> "null"
@@ -415,7 +231,7 @@ let write_bench_json ~out ~jobs ~serial ~parallel ~micro ~events =
         let speedup = Option.map (fun p -> serial_s /. p) par in
         Printf.sprintf
           "    {\"name\": \"%s\", \"serial_s\": %s, \"parallel_s\": %s, \"speedup\": %s%s}"
-          (json_escape name) (json_float serial_s) (json_opt par) (json_opt speedup)
+          (Dq_telemetry.Json_util.escape name) (json_float serial_s) (json_opt par) (json_opt speedup)
           (adv_field (par <> None)))
       serial
   in
@@ -423,7 +239,7 @@ let write_bench_json ~out ~jobs ~serial ~parallel ~micro ~events =
     List.map
       (fun (name, ns, r2) ->
         Printf.sprintf "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s}"
-          (json_escape name) (json_opt ns) (json_opt r2))
+          (Dq_telemetry.Json_util.escape name) (json_opt ns) (json_opt r2))
       micro
   in
   let total_serial = total serial in
@@ -528,9 +344,15 @@ let () =
   warn_advisory ~jobs;
   if smoke then run_smoke ~jobs ~out
   else begin
-    (* Serial pass: print every table/figure (as before) and time it. *)
+    (* Serial pass: print every figure and ablation of the catalogue and
+       time it. *)
     E.set_jobs 1;
-    let serial = List.map (fun (name, print, _) -> (name, time_it print)) figures in
+    let serial =
+      List.map
+        (fun (e : Render.entry) ->
+          (e.Render.id, time_it (fun () -> List.iter Render.print_section (e.Render.run ()))))
+        Render.catalogue
+    in
     (* Parallel pass: regenerate silently on the pool and time it. *)
     let parallel =
       if jobs <= 1 then []
@@ -540,8 +362,9 @@ let () =
         let t = Table.create ~header:[ "figure"; "serial s"; "parallel s"; "speedup" ] in
         let timed =
           List.map
-            (fun (name, _, compute) ->
-              let dt = time_it compute in
+            (fun (e : Render.entry) ->
+              let name = e.Render.id in
+              let dt = time_it (fun () -> ignore (e.Render.run ())) in
               let serial_s = List.assoc name serial in
               Table.add_row t
                 [
@@ -551,7 +374,7 @@ let () =
                   Printf.sprintf "%.2fx" (serial_s /. dt);
                 ];
               (name, dt))
-            figures
+            Render.catalogue
         in
         Table.print t;
         timed

@@ -1,13 +1,13 @@
 (* dqr - the dual-quorum replication experiment driver.
 
-   Subcommands:
-     fig <id>        regenerate one of the paper's figures (6a..9b)
-     ablation <id>   run one of the ablation studies
+   Subcommands (see --help for the full list):
+     fig <id>        regenerate one of the paper's figures (Render.catalogue)
+     ablation <id>   run one of the ablation studies (Render.catalogue)
      run             run a custom workload against a chosen protocol
+     bench           run, sweep and diff the perf-campaign scenarios
      avail           print the analytical availability model
      overhead        print the analytical overhead model *)
 
-module E = Dq_harness.Experiment
 module Render = Dq_harness.Render
 module Registry = Dq_harness.Registry
 module Driver = Dq_harness.Driver
@@ -20,184 +20,48 @@ let seed_arg =
   let doc = "Random seed (the whole simulation is deterministic in it)." in
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let ops_arg default =
-  let doc = "Operations per application client." in
-  Arg.(value & opt int default & info [ "ops" ] ~docv:"N" ~doc)
+let ops_arg =
+  let doc = "Operations per application client (default: the experiment's own)." in
+  Arg.(value & opt (some int) None & info [ "ops" ] ~docv:"N" ~doc)
 
-module Csv = Dq_harness.Csv
+(* --- fig / ablation --------------------------------------------------------- *)
 
-(* --- fig ---------------------------------------------------------------- *)
+(* Print an entry's sections, and write its CSV as DIR/fig<id>.csv. *)
+let print_entry (entry : Render.entry) seed ops csv_dir =
+  List.iter
+    (fun (s : Render.section) ->
+      Render.print_section s;
+      match (csv_dir, s.Render.csv) with
+      | Some dir, Some csv ->
+        Printf.printf "(wrote %s)\n" (Dq_harness.Csv.write ~dir ~name:("fig" ^ entry.Render.id) csv)
+      | _ -> ())
+    (entry.Render.run ~seed ?ops ())
 
-let csv_note = function
-  | Some path -> Printf.printf "(wrote %s)\n" path
-  | None -> ()
-
-let print_fig id seed ops csv_dir =
-  let f2 x = Printf.sprintf "%.2f" x in
-  let csv_series ~name ~x_label ~x_of points =
-    csv_note
-      (Option.map (fun dir -> Csv.write_series ~dir ~name ~x_label ~x_of points) csv_dir)
+let entry_arg kind ~docv =
+  let choices =
+    List.map (fun (e : Render.entry) -> (e.Render.id, e)) (Render.entries kind)
   in
-  let csv_rows ~name rows =
-    csv_note
-      (Option.map
-         (fun dir ->
-           Csv.write_rows ~dir ~name
-             ~header:[ "protocol"; "read_ms"; "write_ms"; "overall_ms"; "completed"; "failed" ]
-             (List.map
-                (fun (r : E.response_row) ->
-                  [
-                    r.E.protocol;
-                    Printf.sprintf "%.3f" r.E.read_ms;
-                    Printf.sprintf "%.3f" r.E.write_ms;
-                    Printf.sprintf "%.3f" r.E.overall_ms;
-                    string_of_int r.E.completed;
-                    string_of_int r.E.failed;
-                  ])
-                rows))
-         csv_dir)
-  in
-  match id with
-  | "6a" ->
-    let rows = E.fig6a ~seed ~ops () in
-    Table.print (Render.response_rows ~title:"fig6a: 5% writes" rows);
-    csv_rows ~name:"fig6a" rows
-  | "6b" ->
-    let sweep = E.fig6b ~seed ~ops () in
-    Table.print (Render.sweep ~title:"fig6b:" ~x_label:"write ratio" ~x_of:f2 sweep);
-    csv_series ~name:"fig6b" ~x_label:"write_ratio" ~x_of:f2
-      (List.map
-         (fun (w, rows) ->
-           (w, List.map (fun (r : E.response_row) -> (r.E.protocol, r.E.overall_ms)) rows))
-         sweep)
-  | "7a" ->
-    let rows = E.fig7a ~seed ~ops () in
-    Table.print (Render.response_rows ~title:"fig7a: 5% writes, 90% locality" rows);
-    csv_rows ~name:"fig7a" rows
-  | "7b" ->
-    let sweep = E.fig7b ~seed ~ops () in
-    Table.print (Render.sweep ~title:"fig7b:" ~x_label:"locality" ~x_of:f2 sweep);
-    csv_series ~name:"fig7b" ~x_label:"locality" ~x_of:f2
-      (List.map
-         (fun (l, rows) ->
-           (l, List.map (fun (r : E.response_row) -> (r.E.protocol, r.E.overall_ms)) rows))
-         sweep)
-  | "8a" ->
-    let sweep = E.fig8a () in
-    Table.print
-      (Render.series ~title:"fig8a: unavailability," ~x_label:"write ratio" ~x_of:f2
-         ~fmt:Render.scientific sweep);
-    csv_series ~name:"fig8a" ~x_label:"write_ratio" ~x_of:f2 sweep
-  | "8b" ->
-    let sweep = E.fig8b () in
-    Table.print
-      (Render.series ~title:"fig8b: unavailability," ~x_label:"replicas"
-         ~x_of:string_of_int ~fmt:Render.scientific sweep);
-    csv_series ~name:"fig8b" ~x_label:"replicas" ~x_of:string_of_int sweep
-  | "9a" ->
-    let sweep = E.fig9a () in
-    csv_series ~name:"fig9a" ~x_label:"write_ratio" ~x_of:f2 sweep;
-    Table.print
-      (Render.series ~title:"fig9a: msgs/request (model)," ~x_label:"write ratio"
-         ~x_of:f2 sweep);
-    let measured = E.fig9a_measured ~seed ~ops () in
-    Table.print
-      (Render.series ~title:"fig9a: msgs/request (measured dqvl)," ~x_label:"write ratio"
-         ~x_of:f2
-         (List.map (fun (w, v) -> (w, [ ("dqvl", v) ])) measured))
-  | "9b" ->
-    let sweep = E.fig9b () in
-    Table.print
-      (Render.series ~title:"fig9b: msgs/request," ~x_label:"OQS size"
-         ~x_of:string_of_int sweep);
-    csv_series ~name:"fig9b" ~x_label:"oqs_size" ~x_of:string_of_int sweep
-  | "8m" ->
-    (* simulation cross-check of figure 8 *)
-    let t = Table.create ~header:[ "protocol"; "measured unavailability (p=0.1)" ] in
-    List.iter
-      (fun (name, u) -> Table.add_row t [ name; Render.scientific u ])
-      (E.fig8_measured ~seed ~ops ());
-    Table.print t
-  | other -> Printf.eprintf "unknown figure %S (expected 6a..9b, or 8m)\n" other
+  Arg.(
+    required
+    & pos 0 (some (enum choices)) None
+    & info [] ~docv ~doc:(doc_alts_enum choices ^ "."))
 
 let fig_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc:"6a, 6b, 7a, 7b, 8a, 8b, 9a or 9b.")
-  in
   let csv_dir =
     Arg.(
       value & opt (some string) None
-      & info [ "csv" ] ~docv:"DIR" ~doc:"Also write the data as DIR/<figure>.csv.")
+      & info [ "csv" ] ~docv:"DIR" ~doc:"Also write the data as DIR/fig<figure>.csv.")
   in
-  let run id seed ops csv = print_fig id seed ops csv in
   Cmd.v (Cmd.info "fig" ~doc:"Regenerate one of the paper's figures")
-    Term.(const run $ id $ seed_arg $ ops_arg 200 $ csv_dir)
-
-(* --- ablation ------------------------------------------------------------ *)
-
-let print_ablation id seed ops =
-  match id with
-  | "leases" ->
-    Table.print
-      (Render.response_rows ~title:"ablation: volume leases" (E.ablation_leases ~seed ~ops ()))
-  | "lease-len" ->
-    let rows = E.ablation_lease_len ~seed ~ops () in
-    Table.print
-      (Render.response_rows ~title:"ablation: lease length"
-         (List.map
-            (fun (lease, r) ->
-              { r with E.protocol = Printf.sprintf "dqvl L=%.0fms" lease })
-            rows))
-  | "bursts" ->
-    let rows = E.ablation_bursts ~seed ~ops () in
-    Table.print
-      (Render.response_rows ~title:"ablation: burst length (w=0.5)"
-         (List.map
-            (fun (mean, r) -> { r with E.protocol = Printf.sprintf "dqvl burst=%.0f" mean })
-            rows))
-  | "orq" ->
-    let rows = E.ablation_orq ~seed ~ops () in
-    Table.print
-      (Render.response_rows ~title:"ablation: OQS read quorum size"
-         (List.map (fun (_, r) -> r) rows))
-  | "grid" ->
-    Table.print
-      (Render.series ~title:"ablation: grid vs majority unavailability," ~x_label:"replicas"
-         ~x_of:string_of_int ~fmt:Render.scientific (E.ablation_grid ()))
-  | "atomic" ->
-    Table.print
-      (Render.response_rows ~title:"ablation: atomic semantics" (E.ablation_atomic ~seed ~ops ()))
-  | "object-lease" ->
-    let t = Table.create ~header:[ "config"; "msgs/request"; "mean write ms" ] in
-    List.iter
-      (fun (name, mpr, write_ms) ->
-        Table.add_row t [ name; Printf.sprintf "%.1f" mpr; Printf.sprintf "%.1f" write_ms ])
-      (E.ablation_object_lease ~seed ~ops ());
-    Table.print t
-  | "staleness" ->
-    let t = Table.create ~header:[ "protocol"; "stale"; "mean behind ms"; "max behind ms" ] in
-    List.iter
-      (fun (r : E.staleness_row) ->
-        Table.add_row t
-          [
-            r.E.s_protocol;
-            Printf.sprintf "%.1f%%" (100. *. r.E.s_stale_fraction);
-            Printf.sprintf "%.0f" r.E.s_mean_behind_ms;
-            Printf.sprintf "%.0f" r.E.s_max_behind_ms;
-          ])
-      (E.ablation_staleness ~seed ~ops ());
-    Table.print t
-  | other -> Printf.eprintf "unknown ablation %S\n" other
+    Term.(
+      const print_entry $ entry_arg Render.Figure ~docv:"FIGURE" $ seed_arg $ ops_arg
+      $ csv_dir)
 
 let ablation_cmd =
-  let id =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"ABLATION"
-          ~doc:"leases, lease-len, bursts, orq, grid, atomic, object-lease or staleness.")
-  in
   Cmd.v (Cmd.info "ablation" ~doc:"Run one of the ablation studies")
-    Term.(const print_ablation $ id $ seed_arg $ ops_arg 120)
+    Term.(
+      const print_entry $ entry_arg Render.Ablation ~docv:"ABLATION" $ seed_arg $ ops_arg
+      $ const None)
 
 (* --- run ----------------------------------------------------------------- *)
 
@@ -278,6 +142,9 @@ let run_custom protocol seed ops servers clients write_ratio locality objects ve
       metrics_file
 
 let run_cmd =
+  let ops =
+    Arg.(value & opt int 200 & info [ "ops" ] ~docv:"N" ~doc:"Operations per application client.")
+  in
   let protocol =
     Arg.(value & opt string "dqvl" & info [ "protocol"; "p" ] ~docv:"PROTO" ~doc:"Protocol to run.")
   in
@@ -315,7 +182,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a custom workload")
     Term.(
-      const run_custom $ protocol $ seed_arg $ ops_arg 200 $ servers $ clients $ write_ratio
+      const run_custom $ protocol $ seed_arg $ ops $ servers $ clients $ write_ratio
       $ locality $ objects $ verbose $ trace_file $ metrics_file)
 
 (* --- bench ---------------------------------------------------------------- *)
@@ -713,34 +580,23 @@ let quorum_opt_cmd =
 
 (* --- load / bandwidth ------------------------------------------------------ *)
 
-let load_study seed ops service_ms =
-  Table.print
-    (Render.series ~title:"load study:" ~x_label:"req/s per client"
-       ~x_of:(Printf.sprintf "%.0f")
-       ~fmt:(Printf.sprintf "%.1f")
-       (E.saturation ~seed ~ops ~service_ms ()))
-
 let load_cmd =
   let service_ms =
     Arg.(value & opt float 1.0 & info [ "service-ms" ] ~docv:"MS" ~doc:"Per-message service time.")
   in
+  let load seed ops service_ms = Render.print_section (Render.load ~seed ?ops ~service_ms ()) in
   Cmd.v
     (Cmd.info "load" ~doc:"Open-loop load study with a per-message service time")
-    Term.(const load_study $ seed_arg $ ops_arg 300 $ service_ms)
-
-let bandwidth seed ops write_ratio =
-  let t = Table.create ~header:[ "protocol"; "msgs/request"; "bytes/request" ] in
-  List.iter
-    (fun (name, mpr, bpr) ->
-      Table.add_row t [ name; Printf.sprintf "%.1f" mpr; Printf.sprintf "%.0f" bpr ])
-    (E.bandwidth ~seed ~ops ~write_ratio ());
-  Table.print t
+    Term.(const load $ seed_arg $ ops_arg $ service_ms)
 
 let bandwidth_cmd =
   let w = Arg.(value & opt float 0.25 & info [ "w" ] ~docv:"W" ~doc:"Write ratio.") in
+  let bandwidth seed ops write_ratio =
+    Render.print_section (Render.bandwidth ~seed ?ops ~write_ratio ())
+  in
   Cmd.v
     (Cmd.info "bandwidth" ~doc:"Measured messages and bytes per request")
-    Term.(const bandwidth $ seed_arg $ ops_arg 200 $ w)
+    Term.(const bandwidth $ seed_arg $ ops_arg $ w)
 
 let () =
   let doc = "dual-quorum replication for edge services - experiments" in

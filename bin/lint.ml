@@ -59,7 +59,7 @@ let emit out contents =
   | Some f -> write_file f contents
 
 let run build_dir json_out sarif_out cache_file jobs allowlist_file rules_spec
-    ignore_scopes all_scopes show_rules quiet paths =
+    ignore_scopes show_rules quiet paths =
   if show_rules then begin
     list_rules ();
     0
@@ -77,7 +77,6 @@ let run build_dir json_out sarif_out cache_file jobs allowlist_file rules_spec
         2
       end
       else begin
-        ignore all_scopes;
         let allowlist =
           match allowlist_file with
           | None -> []
@@ -176,17 +175,6 @@ let cmd =
              per-rule directory scoping and the default exclusions (so the \
              intentionally-violating lint fixtures flag too).")
   in
-  let all_scopes =
-    Arg.(
-      value & flag
-      & info [ "all-scopes" ]
-          ~doc:
-            "Lint every scope of the tree (lib/, bin/, test/, bench/). This \
-             is also the default; the flag is kept for compatibility. \
-             Per-rule directory scoping is part of each rule's definition — \
-             a rule outside its scope is vacuous, not violated; use \
-             $(b,--ignore-scopes) to override scoping for rule debugging.")
-  in
   let list_rules =
     Arg.(value & flag & info [ "list-rules" ] ~doc:"Print the rule table.")
   in
@@ -207,7 +195,7 @@ let cmd =
           machine-checked from the .cmt artifacts dune already builds")
     Term.(
       const run $ build_dir $ json_out $ sarif_out $ cache_file $ jobs
-      $ allowlist $ rules $ ignore_scopes $ all_scopes $ list_rules $ quiet
+      $ allowlist $ rules $ ignore_scopes $ list_rules $ quiet
       $ paths)
 
 let () = exit (Cmd.eval' cmd)

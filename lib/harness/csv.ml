@@ -18,20 +18,8 @@ let to_string ~header rows =
   let line cells = String.concat "," (List.map escape cells) in
   String.concat "\n" (line header :: List.map line rows) ^ "\n"
 
-let write_rows ~dir ~name ~header rows =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir (name ^ ".csv") in
-  let oc = open_out path in
-  (try output_string oc (to_string ~header rows)
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc;
-  path
-
-let write_series ~dir ~name ~x_label ~x_of points =
+let series ~x_label ~x_of points =
   let labels = match points with [] -> [] | (_, first) :: _ -> List.map fst first in
-  let header = x_label :: labels in
   let rows =
     List.map
       (fun (x, values) ->
@@ -48,4 +36,15 @@ let write_series ~dir ~name ~x_label ~x_of points =
              labels)
       points
   in
-  write_rows ~dir ~name ~header rows
+  to_string ~header:(x_label :: labels) rows
+
+let write ~dir ~name contents =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = Filename.concat dir (name ^ ".csv") in
+  let oc = open_out path in
+  (try output_string oc contents
+   with e ->
+     close_out_noerr oc;
+     raise e);
+  close_out oc;
+  path

@@ -2,9 +2,9 @@
     the event queue of the simulation engine, specialised for its hot
     loop.
 
-    Unlike {!Heap}, which orders elements with a user-supplied closure
-    (forcing an indirect call and, in practice, polymorphic [compare] on
-    every sift step), this heap stores its keys in two flat arrays — an
+    Rather than ordering elements with a user-supplied closure (an
+    indirect call and, in practice, polymorphic [compare] on every sift
+    step), this heap stores its keys in two flat arrays — an
     unboxed [float array] of times and an [int array] of sequence
     numbers — and compares them with primitive float/int comparisons.
     Payloads ride along in a third array and are never inspected.

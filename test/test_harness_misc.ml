@@ -1,5 +1,6 @@
 (* Odds and ends of the harness: table rendering of experiment rows,
-   the virtual-time log reporter, and registry coherence. *)
+   the figure catalogue, the virtual-time log reporter, and registry
+   coherence. *)
 
 module E = Dq_harness.Experiment
 module Render = Dq_harness.Render
@@ -31,32 +32,83 @@ let test_render_response_rows () =
 
 let test_render_sweep () =
   let t =
-    Render.sweep ~title:"fig" ~x_label:"w"
+    Render.series ~x_label:"w"
       ~x_of:(Printf.sprintf "%.1f")
-      [ (0.1, [ row "a" 10.; row "b" 20. ]); (0.2, [ row "a" 30.; row "b" 40. ]) ]
+      ~fmt:(Printf.sprintf "%.1f")
+      [ (0.1, [ ("a", 10.); ("b", 20.) ]); (0.2, [ ("a", 30.); ("b", 40.) ]) ]
   in
-  let out = Table.render t in
-  Alcotest.(check bool) "columns from protocols" true (contains ~needle:"a" out);
-  Alcotest.(check bool) "values in place" true (contains ~needle:"30.0" out)
+  Alcotest.(check string) "columns from the first point"
+    " w   a     b   \n---  ----  ----  \n0.1  10.0  20.0\n0.2  30.0  40.0\n" (Table.render t)
 
 let test_render_sweep_missing_protocol () =
   let t =
-    Render.sweep ~title:"fig" ~x_label:"w"
+    Render.series ~x_label:"w"
       ~x_of:(Printf.sprintf "%.1f")
-      [ (0.1, [ row "a" 10.; row "b" 20. ]); (0.2, [ row "a" 30. ]) ]
+      [ (0.1, [ ("a", 10.); ("b", 20.) ]); (0.2, [ ("a", 30.) ]) ]
   in
-  let out = Table.render t in
-  Alcotest.(check bool) "dash for missing" true (contains ~needle:"-" out)
+  Alcotest.(check bool) "dash for missing" true
+    (contains ~needle:"0.2  30.00  -" (Table.render t))
 
 let test_render_series_formats () =
   let t =
-    Render.series ~title:"u" ~x_label:"n" ~x_of:string_of_int ~fmt:Render.scientific
+    Render.series ~x_label:"n" ~x_of:string_of_int ~fmt:Render.scientific
       [ (3, [ ("x", 1.5e-9) ]) ]
   in
   Alcotest.(check bool) "scientific" true (contains ~needle:"1.50e-09" (Table.render t))
 
 let test_scientific () =
   Alcotest.(check string) "formats" "6.05e-13" (Render.scientific 6.05e-13)
+
+let ids entries = List.map (fun (e : Render.entry) -> e.Render.id) entries
+
+let test_catalogue_ids () =
+  let all = ids Render.catalogue in
+  Alcotest.(check int) "unique ids" (List.length all)
+    (List.length (List.sort_uniq String.compare all));
+  List.iter
+    (fun (e : Render.entry) ->
+      match Render.find e.Render.id with
+      | Some found -> Alcotest.(check bool) (e.Render.id ^ " round-trips") true (found == e)
+      | None -> Alcotest.failf "%s not found" e.Render.id)
+    Render.catalogue;
+  Alcotest.(check bool) "unknown id" true (Option.is_none (Render.find "nosuch"))
+
+let test_catalogue_kinds () =
+  (* The dqr fig / dqr ablation enums are built from these lists. *)
+  Alcotest.(check (list string)) "figures"
+    [ "6a"; "6b"; "7a"; "7b"; "8a"; "8b"; "8m"; "9a"; "9b"; "bandwidth"; "load" ]
+    (ids (Render.entries Render.Figure));
+  Alcotest.(check (list string)) "ablations"
+    [
+      "leases"; "lease-len"; "bursts"; "orq"; "grid"; "object-lease"; "batch-renewals";
+      "atomic"; "staleness";
+    ]
+    (ids (Render.entries Render.Ablation));
+  Alcotest.(check (list string)) "figures first, then ablations" (ids Render.catalogue)
+    (ids (Render.entries Render.Figure) @ ids (Render.entries Render.Ablation))
+
+(* The CSV of the analytical Figure 8(b), pinned byte for byte: what
+   `dqr fig 8b --csv DIR` writes as DIR/fig8b.csv. *)
+let fig8b_csv =
+  {|replicas,dqvl,majority,rowa,rowa-async,rowa-async-nostale,primary-backup
+3,0.0002980000000000002,0.0002980000000000002,0.0074260000000000003,1.0000000000000002e-06,0.01,0.01
+5,9.8506000000000053e-06,9.8506000000000053e-06,0.0122524876,1.0000000000000002e-10,0.01,0.01
+7,3.4166980000000072e-07,3.4166980000000072e-07,0.016983663023260001,1.0000000000000002e-14,0.01,0.01
+9,1.2185368570000043e-08,1.2185368570000043e-08,0.021620688129089776,1.0000000000000003e-18,0.01,0.01
+11,4.4254343383480025e-10,4.4254343383480025e-10,0.026165436435320891,1.0000000000000003e-22,0.01,0.01
+13,1.6278881392003356e-11,1.6278881392003356e-11,0.030619744250258006,1.0000000000000003e-26,0.01,0.01
+15,6.0452484932097277e-13,6.0452484932097277e-13,0.034985411339677877,1.0000000000000003e-30,0.01,0.01
+17,2.2614362673891447e-14,2.2614362673891447e-14,0.039264201654018283,1.0000000000000004e-34,0.01,0.01
+19,8.5091047329055505e-16,8.5091047329055505e-16,0.043457844041103318,1.0000000000000004e-38,0.01,0.01
+21,3.2169401503950667e-17,3.2169401503950667e-17,0.047568032944685361,1.0000000000000005e-42,0.01,0.01
+|}
+
+let test_catalogue_fig8b_csv () =
+  match Render.find "8b" with
+  | None -> Alcotest.fail "8b missing"
+  | Some e ->
+    Alcotest.(check (list (option string))) "csv" [ Some fig8b_csv ]
+      (List.map (fun (s : Render.section) -> s.Render.csv) (e.Render.run ()))
 
 let test_sim_log_reporter_stamps_time () =
   let engine = Engine.create () in
@@ -124,6 +176,12 @@ let () =
           Alcotest.test_case "sweep missing" `Quick test_render_sweep_missing_protocol;
           Alcotest.test_case "series" `Quick test_render_series_formats;
           Alcotest.test_case "scientific" `Quick test_scientific;
+        ] );
+      ( "catalogue",
+        [
+          Alcotest.test_case "ids" `Quick test_catalogue_ids;
+          Alcotest.test_case "kinds" `Quick test_catalogue_kinds;
+          Alcotest.test_case "fig8b csv" `Quick test_catalogue_fig8b_csv;
         ] );
       ("logging", [ Alcotest.test_case "reporter" `Quick test_sim_log_reporter_stamps_time ]);
       ( "registry",

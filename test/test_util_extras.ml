@@ -48,9 +48,10 @@ let test_csv_to_string () =
 let test_csv_write_series () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "dq_csv_test" in
   let path =
-    Csv.write_series ~dir ~name:"series" ~x_label:"w"
-      ~x_of:(Printf.sprintf "%.2f")
-      [ (0.1, [ ("a", 1.5); ("b", 2.5) ]); (0.2, [ ("a", 3.5); ("b", 4.5) ]) ]
+    Csv.write ~dir ~name:"series"
+      (Csv.series ~x_label:"w"
+         ~x_of:(Printf.sprintf "%.2f")
+         [ (0.1, [ ("a", 1.5); ("b", 2.5) ]); (0.2, [ ("a", 3.5); ("b", 4.5) ]) ])
   in
   let ic = open_in path in
   let lines = ref [] in
