@@ -125,8 +125,8 @@ let write t ~key ~value ~on_done ~on_fail =
            {
              src = "dq.frontend";
              msg =
-               Format.asprintf "node %d: write %a assigned lc=%a" t.me Key.pp key Lc.pp
-                 wlc;
+               Printf.sprintf "node %d: write %s assigned lc=%s" t.me (Key.to_string key)
+                 (Lc.to_string wlc);
            });
     t.last_issued <- wlc;
     let op2 = fresh_op t in

@@ -5,14 +5,17 @@ module Clock = Dq_sim.Clock
 
 (* Per-object durable state: the stored version, the logical clock of
    the last write at the time of the last lease grant (lastReadLC), and
-   the highest acknowledged invalidation per OQS node (lastAckLC). *)
+   the highest acknowledged invalidation per OQS node (lastAckLC).
+   Per-peer arrays are indexed by the peer's OQS slot
+   ([Qs.index config.oqs]). *)
 type obj_state = {
   mutable value : Versioned.t;
   mutable last_read : Lc.t;
-  acks : (int, Lc.t) Hashtbl.t;
-  grants : (int, float) Hashtbl.t;
-      (* per OQS node: local-clock expiry of the last object lease
-         granted to it; only consulted when object leases are finite *)
+  acks : Lc.t array;
+  grants : float array;
+      (* per OQS slot: local-clock expiry of the last object lease
+         granted to it, [neg_infinity] if none; only consulted when
+         object leases are finite *)
 }
 
 (* Per (volume, OQS node) lease state. [barrier] records the highest
@@ -43,7 +46,7 @@ type sync_progress = {
 type durable = {
   mutable global_lc : Lc.t;
   objects : (Key.t, obj_state) Obj_map.t;
-  vol_peers : (int * int, vol_peer) Obj_map.t; (* (volume, oqs node id) *)
+  vol_peers : (int, vol_peer array) Obj_map.t; (* volume -> per OQS slot *)
   mutable wiped : bool; (* this replica lost its durable state at least once *)
   mutable sync : sync_progress option; (* Some = the node is in [Syncing] *)
 }
@@ -69,12 +72,12 @@ let subscribed t = Dq_telemetry.Bus.subscribed t.bus
 
 let emit t ev = Dq_telemetry.Bus.emit t.bus ev
 
-let fresh_obj _key =
+let fresh_obj n _key =
   {
     value = Versioned.initial;
     last_read = Lc.zero;
-    acks = Hashtbl.create 8;
-    grants = Hashtbl.create 8;
+    acks = Array.make n Lc.zero;
+    grants = Array.make n neg_infinity;
   }
 
 let fresh_vol_peer _ =
@@ -87,6 +90,7 @@ let fresh_vol_peer _ =
   }
 
 let create ~net ~clock ~config ~me =
+  let n = Qs.size config.Config.oqs in
   {
     net;
     bus = Dq_sim.Engine.telemetry (Net.engine net);
@@ -96,12 +100,8 @@ let create ~net ~clock ~config ~me =
     durable =
       {
         global_lc = Lc.zero;
-        objects = Obj_map.of_key_default ~default:fresh_obj;
-        vol_peers =
-          Obj_map.create
-            ~hash:(fun (v, j) -> (v * 65599) + j)
-            ~equal:(fun (a, b) (c, d) -> a = c && b = d)
-            ~default:fresh_vol_peer;
+        objects = Obj_map.of_key_default ~default:(fresh_obj n);
+        vol_peers = Obj_map.of_int_default ~default:(fun _ -> Array.init n fresh_vol_peer);
         wiped = false;
         sync = None;
       };
@@ -110,15 +110,22 @@ let create ~net ~clock ~config ~me =
     syncing = None;
   }
 
+(* The OQS slot of [oqs]. Grant requests and acknowledgments only ever
+   come from OQS members (a cluster runs OQS servers on members alone),
+   so a non-member is a wiring bug and must not index anything. *)
+let slot t oqs =
+  let s = Qs.index t.config.oqs oqs in
+  if s < 0 then
+    invalid_arg (Printf.sprintf "Iqs_server (node %d): node %d is not an OQS member" t.me oqs);
+  s
+
 let obj t key = Obj_map.get t.durable.objects key
 
-let vol_peer t ~volume ~oqs = Obj_map.get t.durable.vol_peers (volume, oqs)
-
-let ack_of o j = Option.value (Hashtbl.find_opt o.acks j) ~default:Lc.zero
+let vol_peer t ~volume ~oqs = (Obj_map.get t.durable.vol_peers volume).(slot t oqs)
 
 let record_ack t key j lc =
-  let o = obj t key in
-  Hashtbl.replace o.acks j (Lc.max (ack_of o j) lc)
+  let o = obj t key and s = slot t j in
+  o.acks.(s) <- Lc.max o.acks.(s) lc
 
 let send t dst msg = Net.send t.net ~src:t.me ~dst msg
 
@@ -163,20 +170,17 @@ let enqueue_delayed t vp ~peer ~volume key wlc =
 (* With finite object leases, a peer whose lease on [key] has lapsed
    (or was never granted) cannot serve the object at all - no
    invalidation of any kind is needed (paper footnote 4). *)
-let object_lease_lapsed t o j =
+let object_lease_lapsed t o s =
   match t.config.object_lease_ms with
   | None -> false
-  | Some _ -> (
-    match Hashtbl.find_opt o.grants j with
-    | None -> true
-    | Some expiry -> now t > expiry)
+  | Some _ -> now t > o.grants.(s)
 
 let peer_settled t ~key ~wlc j =
-  let o = obj t key in
-  let ack = ack_of o j in
+  let o = obj t key and s = slot t j in
+  let ack = o.acks.(s) in
   Lc.(ack > o.last_read) (* suppress: no valid callback at j *)
   || Lc.(ack >= wlc) (* j acknowledged this (or a newer) invalidation *)
-  || object_lease_lapsed t o j
+  || object_lease_lapsed t o s
   || t.config.use_volume_leases
      &&
      let volume = Key.volume key in
@@ -282,7 +286,7 @@ let obj_grant t ~key ~requester ~t0 =
   let lease_ms =
     match t.config.object_lease_ms with
     | Some lease ->
-      Hashtbl.replace o.grants requester (now t +. lease);
+      o.grants.(slot t requester) <- now t +. lease;
       lease
     | None -> infinity
   in
@@ -557,20 +561,21 @@ let stored t key = (obj t key).value
 
 let last_read_lc t key = (obj t key).last_read
 
-let last_ack_lc t key ~oqs = ack_of (obj t key) oqs
+let last_ack_lc t key ~oqs = (obj t key).acks.(slot t oqs)
+
+(* The peer's volume record, without materializing the volume. *)
+let find_vol_peer t ~volume ~oqs =
+  let s = slot t oqs in
+  Option.map (fun peers -> peers.(s)) (Obj_map.find_opt t.durable.vol_peers volume)
 
 let lease_expires t ~volume ~oqs =
-  match Obj_map.find_opt t.durable.vol_peers (volume, oqs) with
-  | Some vp -> vp.expires
-  | None -> neg_infinity
+  match find_vol_peer t ~volume ~oqs with Some vp -> vp.expires | None -> neg_infinity
 
 let epoch t ~volume ~oqs =
-  match Obj_map.find_opt t.durable.vol_peers (volume, oqs) with
-  | Some vp -> vp.epoch
-  | None -> 0
+  match find_vol_peer t ~volume ~oqs with Some vp -> vp.epoch | None -> 0
 
 let delayed_count t ~volume ~oqs =
-  match Obj_map.find_opt t.durable.vol_peers (volume, oqs) with
+  match find_vol_peer t ~volume ~oqs with
   | Some vp -> Hashtbl.length vp.delayed
   | None -> 0
 
@@ -579,17 +584,15 @@ let local_time t = now t
 let lease_valid_for t ~volume ~oqs =
   (not t.config.use_volume_leases)
   ||
-  match Obj_map.find_opt t.durable.vol_peers (volume, oqs) with
-  | Some vp -> vp.expires > now t
-  | None -> false
+  match find_vol_peer t ~volume ~oqs with Some vp -> vp.expires > now t | None -> false
 
 (* Could this IQS node believe that [oqs] holds a valid callback on
    [key]? False only when the node has positive proof of invalidity
    (acknowledged invalidation newer than any grant, or a lapsed finite
    object lease). *)
 let callback_possible t key ~oqs =
-  let o = obj t key in
-  (not Lc.(ack_of o oqs > o.last_read)) && not (object_lease_lapsed t o oqs)
+  let o = obj t key and s = slot t oqs in
+  (not Lc.(o.acks.(s) > o.last_read)) && not (object_lease_lapsed t o s)
 
 let active_write_loops t =
   Hashtbl.fold (fun _ loops acc -> acc + List.length !loops) t.loops 0

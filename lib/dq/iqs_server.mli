@@ -26,7 +26,16 @@
     completes it stays quarantined until every lease it could have
     granted before the wipe has expired at its holder, and the first
     post-wipe volume grant to each holder bumps the epoch strictly above
-    the holder's cached one, invalidating all pre-wipe object leases. *)
+    the holder's cached one, invalidating all pre-wipe object leases.
+
+    Per-OQS-peer state (acknowledged invalidations, object-lease
+    grants, volume leases) lives in arrays indexed by the peer's slot
+    in the OQS ({!Dq_quorum.Quorum_system.index}). This relies on an
+    invariant of {!Cluster}: OQS servers run only on OQS members, so
+    every renewal request and acknowledgment comes from a member.
+    Handling such a message from a non-member, or asking an
+    introspection function about one, raises [Invalid_argument] naming
+    the node. *)
 
 open Dq_storage
 

@@ -3,7 +3,9 @@ module Qs = Dq_quorum.Quorum_system
 module Net = Dq_net.Net
 module Clock = Dq_sim.Clock
 
-(* Per (volume, IQS node) lease state held by this OQS node. *)
+(* Per (volume, IQS node) lease state held by this OQS node. The cache
+   keeps one record per IQS member, at the member's slot
+   ([Qs.index config.iqs]). *)
 type vol_from = { mutable epoch : int; mutable expires : float }
 
 (* Per (object, IQS node) callback state. [expires] starts in the past
@@ -24,8 +26,8 @@ type ensure = {
 }
 
 type cache = {
-  vols : (int * int, vol_from) Obj_map.t; (* (volume, iqs node) *)
-  objs : (Key.t * int, obj_from) Obj_map.t; (* (key, iqs node) *)
+  vols : (int, vol_from array) Obj_map.t; (* volume -> per IQS slot *)
+  objs : (Key.t, obj_from array) Obj_map.t; (* key -> per IQS slot *)
   values : (Key.t, Versioned.t) Obj_map.t;
   touched_volumes : (int, unit) Hashtbl.t;
 }
@@ -51,18 +53,11 @@ let fresh_vol_from _ = { epoch = 0; expires = neg_infinity }
 
 let fresh_obj_from _ = { epoch = 0; lc = Lc.zero; valid = false; expires = neg_infinity }
 
-let fresh_cache () =
+let fresh_cache (config : Config.t) =
+  let n = Qs.size config.iqs in
   {
-    vols =
-      Obj_map.create
-        ~hash:(fun (v, i) -> (v * 65599) + i)
-        ~equal:(fun (a, b) (c, d) -> a = c && b = d)
-        ~default:fresh_vol_from;
-    objs =
-      Obj_map.create
-        ~hash:(fun (k, i) -> (Key.hash k * 31) + i)
-        ~equal:(fun (k, i) (k', i') -> Key.equal k k' && i = i')
-        ~default:fresh_obj_from;
+    vols = Obj_map.of_int_default ~default:(fun _ -> Array.init n fresh_vol_from);
+    objs = Obj_map.of_key_default ~default:(fun _ -> Array.init n fresh_obj_from);
     values = Obj_map.of_key_default ~default:(fun _ -> Versioned.initial);
     touched_volumes = Hashtbl.create 8;
   }
@@ -75,7 +70,7 @@ let create ~net ~clock ~config ~rng ~me =
     config;
     rng;
     me;
-    cache = fresh_cache ();
+    cache = fresh_cache config;
     ensuring = Hashtbl.create 16;
     renew_timers = Hashtbl.create 16;
     quiesced = false;
@@ -85,26 +80,45 @@ let send t dst msg = Net.send t.net ~src:t.me ~dst msg
 
 let now t = Clock.now t.clock
 
-let vol_from t ~volume ~iqs = Obj_map.get t.cache.vols (volume, iqs)
+(* The IQS slot of [iqs]. Lease state only ever comes from IQS members
+   (a cluster runs IQS servers on members alone), so a non-member is a
+   wiring bug and must not index anything. *)
+let slot t iqs =
+  let s = Qs.index t.config.iqs iqs in
+  if s < 0 then
+    invalid_arg (Printf.sprintf "Oqs_server (node %d): node %d is not an IQS member" t.me iqs);
+  s
 
-let obj_from t key ~iqs = Obj_map.get t.cache.objs (key, iqs)
+let vols_of t volume = Obj_map.get t.cache.vols volume
 
-let volume_valid_from t ~volume ~iqs =
-  (not t.config.use_volume_leases) || (vol_from t ~volume ~iqs).expires > now t
+let objs_of t key = Obj_map.get t.cache.objs key
+
+let vol_from t ~volume ~iqs = (vols_of t volume).(slot t iqs)
+
+let obj_from t key ~iqs = (objs_of t key).(slot t iqs)
+
+let volume_valid t ~now (vf : vol_from) =
+  (not t.config.use_volume_leases) || vf.expires > now
+
+let object_valid t ~now (vf : vol_from) (o : obj_from) =
+  o.valid
+  && ((not t.config.use_volume_leases) || o.epoch = vf.epoch)
+  && (Option.is_none t.config.object_lease_ms || o.expires > now)
+
+let volume_valid_from t ~volume ~iqs = volume_valid t ~now:(now t) (vol_from t ~volume ~iqs)
 
 let object_valid_from t key ~iqs =
-  let o = obj_from t key ~iqs in
-  o.valid
-  && ((not t.config.use_volume_leases)
-     || o.epoch = (vol_from t ~volume:(Key.volume key) ~iqs).epoch)
-  && (Option.is_none t.config.object_lease_ms || o.expires > now t)
+  object_valid t ~now:(now t) (vol_from t ~volume:(Key.volume key) ~iqs) (obj_from t key ~iqs)
 
-let valid_from t key iqs =
-  volume_valid_from t ~volume:(Key.volume key) ~iqs && object_valid_from t key ~iqs
-
-(* Condition C: some IQS read quorum from which everything is valid. *)
+(* Condition C: some IQS read quorum from which everything is valid.
+   The per-member test reads two arrays fetched once per call, so it
+   allocates nothing. *)
 let is_locally_valid t key =
-  Qs.is_read_quorum t.config.iqs ~present:(fun i -> valid_from t key i)
+  let vols = vols_of t (Key.volume key) and objs = objs_of t key in
+  let now = now t in
+  Qs.is_read_quorum t.config.iqs ~present:(fun i ->
+      let s = slot t i in
+      volume_valid t ~now vols.(s) && object_valid t ~now vols.(s) objs.(s))
 
 let cached t key = Obj_map.get t.cache.values key
 
@@ -142,8 +156,8 @@ let apply_inval t ~iqs ~key ~lc =
            {
              src = "dq.oqs";
              msg =
-               Format.asprintf "node %d: %a invalidated by %d at lc=%a" t.me Key.pp key
-                 iqs Lc.pp lc;
+               Printf.sprintf "node %d: %s invalidated by %d at lc=%s" t.me
+                 (Key.to_string key) iqs (Lc.to_string lc);
            });
     o.lc <- lc;
     o.valid <- false
@@ -241,11 +255,13 @@ let start_ensure t key =
       Dq_rpc.Qrpc.pick_read_targets ?strategy:t.config.iqs_read_strategy ~rng:t.rng
         ~system:t.config.iqs ~prefer:t.me ()
     in
-    let visit i =
+    let vols = vols_of t volume and objs = objs_of t key in
+    (* [members] lists the IQS members in slot order. *)
+    let visit s i =
+      let vf = vols.(s) and o = objs.(s) in
       let in_quorum = List.mem i quorum in
       let vol_fresh =
-        (not t.config.use_volume_leases)
-        || (vol_from t ~volume ~iqs:i).expires > now t +. t.config.renew_margin_ms
+        (not t.config.use_volume_leases) || vf.expires > now t +. t.config.renew_margin_ms
       in
       if (not vol_fresh) && subscribed t then
         emit t (Dq_telemetry.Event.Lease_expired { node = t.me; peer = i; volume });
@@ -253,13 +269,13 @@ let start_ensure t key =
          so the grant arrives under a still-valid lease. The margin is
          capped for very short leases. *)
       let obj_ok =
-        object_valid_from t key ~iqs:i
+        object_valid t ~now:(now t) vf o
         &&
         match t.config.object_lease_ms with
         | None -> true
         | Some lease ->
           let margin = Float.min t.config.renew_margin_ms (lease /. 4.) in
-          (obj_from t key ~iqs:i).expires > now t +. margin
+          o.expires > now t +. margin
       in
       if not vol_fresh then
         send t i
@@ -268,12 +284,12 @@ let start_ensure t key =
                volume;
                t0 = now t;
                want = (if in_quorum && not obj_ok then Some key else None);
-               epoch = (vol_from t ~volume ~iqs:i).epoch;
+               epoch = vf.epoch;
              })
       else if in_quorum && not obj_ok then
         send t i (Message.Obj_renew_req { key; t0 = now t })
     in
-    List.iter visit (Qs.members t.config.iqs)
+    List.iteri visit (Qs.members t.config.iqs)
   in
   let complete () = is_locally_valid t key in
   let on_complete () =
@@ -373,7 +389,7 @@ let handle t ~src msg =
     ()
 
 let on_recover t =
-  t.cache <- fresh_cache ();
+  t.cache <- fresh_cache t.config;
   t.ensuring <- Hashtbl.create 16;
   Hashtbl.reset t.renew_timers
 
@@ -385,8 +401,9 @@ let quiesce t =
 let local_time t = now t
 
 let epoch_from t ~volume ~iqs =
-  match Obj_map.find_opt t.cache.vols (volume, iqs) with
-  | Some vf -> vf.epoch
+  let s = slot t iqs in
+  match Obj_map.find_opt t.cache.vols volume with
+  | Some vols -> vols.(s).epoch
   | None -> 0
 
 (* Earliest future volume-lease expiry, as a virtual-time delay. This is
@@ -395,11 +412,16 @@ let epoch_from t ~volume ~iqs =
 let next_lease_expiry_ms t =
   if not t.config.use_volume_leases then None
   else
-    Obj_map.fold t.cache.vols ~init:None ~f:(fun _ vf acc ->
-        if vf.expires > now t && vf.expires < infinity then begin
-          let delay = Clock.delay_until t.clock vf.expires in
-          match acc with Some best when best <= delay -> acc | Some _ | None -> Some delay
-        end
-        else acc)
+    Obj_map.fold t.cache.vols ~init:None ~f:(fun _ vols acc ->
+        Array.fold_left
+          (fun acc (vf : vol_from) ->
+            if vf.expires > now t && vf.expires < infinity then begin
+              let delay = Clock.delay_until t.clock vf.expires in
+              match acc with
+              | Some best when best <= delay -> acc
+              | Some _ | None -> Some delay
+            end
+            else acc)
+          acc vols)
 
 let active_ensure_loops t = Hashtbl.length t.ensuring

@@ -10,7 +10,15 @@
     retrying with fresh quorums until C becomes true.
 
     All cached state is volatile: a crash clears it (see
-    {!on_recover}), and subsequent reads rebuild it through renewals. *)
+    {!on_recover}), and subsequent reads rebuild it through renewals.
+
+    Per-IQS-peer lease state lives in arrays indexed by the peer's slot
+    in the IQS ({!Dq_quorum.Quorum_system.index}), so testing C
+    allocates nothing per member. This relies on an invariant of
+    {!Cluster}: IQS servers run only on IQS members, so every grant,
+    invalidation and renewal reply comes from a member. Handling such a
+    message from a non-member, or asking an introspection function
+    about one, raises [Invalid_argument] naming the node. *)
 
 open Dq_storage
 

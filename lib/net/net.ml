@@ -99,10 +99,13 @@ let set_link_faults t ~src ~dst faults =
 
 let link_faults t ~src ~dst = Hashtbl.find_opt t.link_faults (src, dst)
 
+(* Both link tables are usually empty: skip the tuple key then. *)
 let effective_faults t ~src ~dst =
-  match Hashtbl.find_opt t.link_faults (src, dst) with
-  | Some f -> f
-  | None -> t.faults
+  if Hashtbl.length t.link_faults = 0 then t.faults
+  else
+    match Hashtbl.find_opt t.link_faults (src, dst) with
+    | Some f -> f
+    | None -> t.faults
 
 (* {2 Gray failure: per-node degradation}
 
@@ -170,7 +173,7 @@ let is_cut t ~src ~dst = Hashtbl.mem t.cuts (src, dst)
 let uncut_all t = Hashtbl.reset t.cuts
 
 let reachable t ~src ~dst =
-  (not (Hashtbl.mem t.cuts (src, dst)))
+  (Hashtbl.length t.cuts = 0 || not (Hashtbl.mem t.cuts (src, dst)))
   &&
   match t.group_of with
   | None -> true
@@ -237,6 +240,18 @@ let arrive t ~src ~dst msg =
            deliver t ~src ~dst msg))
   end
 
+(* One delivery of a sent message: exactly one jitter draw (when the
+   link has jitter), then the arrival event. *)
+let schedule_delivery t ~src ~dst ~faults ~deg_src ~deg_dst msg =
+  let jitter =
+    if faults.jitter_ms > 0. then Dq_util.Rng.float t.rng faults.jitter_ms else 0.
+  in
+  let delay =
+    Topology.delay t.topology ~src ~dst +. jitter +. degrade_delay deg_src
+    +. degrade_delay deg_dst
+  in
+  ignore (Dq_sim.Engine.schedule t.engine ~delay (fun () -> arrive t ~src ~dst msg))
+
 let send t ~src ~dst msg =
   check_id t src;
   check_id t dst;
@@ -261,20 +276,9 @@ let send t ~src ~dst msg =
         let deg_src = t.nodes.(src).degrade and deg_dst = t.nodes.(dst).degrade in
         let loss = fold_degrade_loss (fold_degrade_loss faults.loss deg_src) deg_dst in
         if not (Dq_util.Rng.bernoulli t.rng loss) then begin
-          let schedule_delivery () =
-            let jitter =
-              if faults.jitter_ms > 0. then Dq_util.Rng.float t.rng faults.jitter_ms
-              else 0.
-            in
-            let delay =
-              Topology.delay t.topology ~src ~dst +. jitter
-              +. degrade_delay deg_src +. degrade_delay deg_dst
-            in
-            ignore
-              (Dq_sim.Engine.schedule t.engine ~delay (fun () -> arrive t ~src ~dst msg))
-          in
-          schedule_delivery ();
-          if Dq_util.Rng.bernoulli t.rng faults.duplicate then schedule_delivery ()
+          schedule_delivery t ~src ~dst ~faults ~deg_src ~deg_dst msg;
+          if Dq_util.Rng.bernoulli t.rng faults.duplicate then
+            schedule_delivery t ~src ~dst ~faults ~deg_src ~deg_dst msg
         end
         else if subscribed then
           Dq_telemetry.Bus.emit t.bus

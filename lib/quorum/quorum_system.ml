@@ -6,15 +6,36 @@ type spec =
   | Weighted of { votes : int array; read : int; write : int }
       (* votes.(i) belongs to members.(i) *)
 
-type t = { name : string; members : int array; spec : spec }
+type t = {
+  name : string;
+  members : int array;
+  member_list : int list; (* [members] as a list, built once *)
+  base : int; (* smallest member id *)
+  slots : int array; (* slots.(id - base): position of [id] in [members], or -1 *)
+  spec : spec;
+}
+
+(* Node ids are compact, so the id -> position table is a dense array
+   over the members' id range: one word per id, no hashing. *)
+let make ~name ids spec =
+  let members = Array.of_list ids in
+  let base = Array.fold_left Int.min max_int members in
+  let top = Array.fold_left Int.max min_int members in
+  let slots = Array.make (top - base + 1) (-1) in
+  Array.iteri (fun i id -> if slots.(id - base) < 0 then slots.(id - base) <- i) members;
+  { name; members; member_list = ids; base; slots; spec }
 
 let name t = t.name
 
-let members t = Array.to_list t.members
+let members t = t.member_list
 
 let size t = Array.length t.members
 
-let mem t id = Array.exists (fun m -> m = id) t.members
+let index t id =
+  let i = id - t.base in
+  if i >= 0 && i < Array.length t.slots then t.slots.(i) else -1
+
+let mem t id = index t id >= 0
 
 (* Members present among responders. *)
 let count_present t ~present =
@@ -83,12 +104,6 @@ let is_quorum_list t mode ids =
 
 let enumeration_bound = 16
 
-(* Map member id -> bit index, for mask-based enumeration. *)
-let bit_index t =
-  let tbl = Hashtbl.create (2 * Array.length t.members) in
-  Array.iteri (fun i id -> Hashtbl.replace tbl id i) t.members;
-  fun id -> Hashtbl.find tbl id
-
 let members_of_mask t mask =
   let rec collect i acc =
     if i < 0 then acc
@@ -107,10 +122,7 @@ let minimal_sets t holds =
     invalid_arg
       (Printf.sprintf "Quorum_system: %d members exceed the enumeration bound (%d)" n
          enumeration_bound);
-  let index_of = bit_index t in
-  let satisfies mask =
-    holds ~present:(fun id -> mask land (1 lsl index_of id) <> 0)
-  in
+  let satisfies mask = holds ~present:(fun id -> mask land (1 lsl index t id) <> 0) in
   let out = ref [] in
   for mask = 1 to (1 lsl n) - 1 do
     if satisfies mask then begin
@@ -230,7 +242,7 @@ let threshold ~name ~members ~read ~write =
     invalid_arg "Quorum_system.threshold: read and write quorums must intersect";
   if 2 * write <= n then
     invalid_arg "Quorum_system.threshold: write quorums must pairwise intersect";
-  { name; members = Array.of_list members; spec = Threshold { read; write } }
+  make ~name members (Threshold { read; write })
 
 let majority members =
   let n = List.length members in
@@ -245,11 +257,7 @@ let grid ~rows ~cols members =
   let n = List.length members in
   if rows < 1 || cols < 1 || rows * cols <> n then
     invalid_arg "Quorum_system.grid: rows * cols must equal the member count";
-  {
-    name = Printf.sprintf "grid(%dx%d)" rows cols;
-    members = Array.of_list members;
-    spec = Grid { rows; cols };
-  }
+  make ~name:(Printf.sprintf "grid(%dx%d)" rows cols) members (Grid { rows; cols })
 
 let counting_thresholds t =
   match t.spec with
@@ -272,7 +280,7 @@ let weighted ~name ~members ~read ~write =
     invalid_arg "Quorum_system.weighted: read and write quorums must intersect";
   if 2 * write <= total then
     invalid_arg "Quorum_system.weighted: write quorums must pairwise intersect";
-  { name; members = Array.of_list ids; spec = Weighted { votes; read; write } }
+  make ~name ids (Weighted { votes; read; write })
 
 let validate t =
   if size t > enumeration_bound then

@@ -26,10 +26,21 @@ type mode = Read | Write
 val name : t -> string
 
 val members : t -> int list
+(** The member ids in construction order. The list is built once, so
+    calling this on a hot path allocates nothing. *)
 
 val size : t -> int
 
+val index : t -> int -> int
+(** [index t id] is the position of [id] in {!members} (its {e slot},
+    in [0 .. size t - 1]), or [-1] when [id] is not a member. Servers
+    keep per-peer state in arrays indexed by slot. The lookup is a
+    dense table over the members' id range built at construction, so
+    it neither hashes nor allocates; node ids are compact, which keeps
+    the table small. A member listed twice gets its first position. *)
+
 val mem : t -> int -> bool
+(** [index t id >= 0]. *)
 
 val is_read_quorum : t -> present:(int -> bool) -> bool
 (** Does the set characterized by [present] contain a read quorum? *)

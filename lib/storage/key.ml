@@ -18,4 +18,4 @@ let hash t = (t.volume * 1000003) lxor t.index
 
 let pp ppf t = Format.fprintf ppf "v%d/o%d" t.volume t.index
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = Printf.sprintf "v%d/o%d" t.volume t.index

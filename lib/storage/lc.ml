@@ -20,3 +20,5 @@ let max a b = if Stdlib.( >= ) (compare a b) 0 then a else b
 let succ t ~node = { count = t.count + 1; node }
 
 let pp ppf t = Format.fprintf ppf "%d.%d" t.count t.node
+
+let to_string t = Printf.sprintf "%d.%d" t.count t.node

@@ -32,3 +32,6 @@ val succ : t -> node:int -> t
     greater than [t]: counter [t.count + 1], tagged with [node]. *)
 
 val pp : Format.formatter -> t -> unit
+
+val to_string : t -> string
+(** The {!pp} rendering, without going through [Format]. *)

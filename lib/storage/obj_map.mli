@@ -5,8 +5,6 @@
 
 type ('k, 'v) t
 
-val create : hash:('k -> int) -> equal:('k -> 'k -> bool) -> default:('k -> 'v) -> ('k, 'v) t
-
 val get : ('k, 'v) t -> 'k -> 'v
 (** Find, creating the default entry if absent. *)
 

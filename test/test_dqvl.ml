@@ -336,6 +336,54 @@ let test_high_clock_drift_still_regular () =
   Alcotest.(check int) "regular under heavy drift" 0
     (List.length report.Dq_harness.Regular_checker.violations)
 
+(* A seeded run at the paper's scale (9 servers, 9 clients, 4096 Zipf
+   keys, a server crash and recovery), pinned to exact counts. Changing
+   how the servers store lease and callback state must not move a
+   single event, message or byte; a protocol change that does move them
+   must re-pin these numbers deliberately. *)
+let test_golden_counts () =
+  let module Driver = Dq_harness.Driver in
+  let module Spec = Dq_workload.Spec in
+  let engine = Engine.create ~seed:2005L () in
+  let topology = Topology.make ~n_servers:9 ~n_clients:9 () in
+  let config = Config.dqvl ~servers:(Topology.servers topology) () in
+  let cluster = Cluster.create engine topology config in
+  let spec =
+    {
+      Spec.default with
+      Spec.write_ratio = 0.05;
+      locality = 0.9;
+      sharing = Spec.Shared_zipf { objects = 4096; exponent = 0.8 };
+    }
+  in
+  let driver =
+    {
+      (Driver.default_config spec) with
+      Driver.ops_per_client = 150;
+      timeout_ms = 8_000.;
+      redirect_to_up = true;
+    }
+  in
+  let result =
+    Driver.run_with_events engine topology (Cluster.api cluster) driver
+      ~events:
+        [
+          { Driver.at_ms = 2_000.; action = `Crash 3 };
+          { Driver.at_ms = 9_000.; action = `Recover 3 };
+        ]
+      ~on_net_event:(fun _ -> ())
+  in
+  let labels = Dq_net.Msg_stats.by_label (Net.stats (Cluster.net cluster)) in
+  let label l = Option.value (List.assoc_opt l labels) ~default:0 in
+  let check = Alcotest.(check int) in
+  check "events executed" 35417 (Engine.events_executed engine);
+  check "completed" 1348 result.Driver.completed;
+  check "failed" 2 result.Driver.failed;
+  check "remote messages" 24158 result.Driver.remote_messages;
+  check "remote bytes" 1813864 result.Driver.remote_bytes;
+  check "inval" 2210 (label "inval");
+  check "vol_renew_req" 1524 (label "vol_renew_req")
+
 let () =
   Alcotest.run "dqvl"
     [
@@ -363,4 +411,5 @@ let () =
           Alcotest.test_case "OQS cache volatile" `Quick test_oqs_cache_volatile_across_crash;
           Alcotest.test_case "IQS durable" `Quick test_iqs_state_durable_across_crash;
         ] );
+      ("golden", [ Alcotest.test_case "9x9 zipf run with a crash" `Quick test_golden_counts ]);
     ]

@@ -37,6 +37,31 @@ let test_nonconsecutive_member_ids () =
   Alcotest.(check bool) "not mem" false (Qs.mem qs 2);
   Alcotest.(check bool) "quorum of member ids" true (Qs.is_read_quorum_list qs [ 10; 30 ])
 
+(* [index] is a member's position in [members]; servers index per-peer
+   arrays with it, so it must agree with [members] for every
+   construction, over ids that are neither contiguous nor zero-based. *)
+let test_index_nonconsecutive () =
+  let check_system qs ids =
+    Alcotest.(check (list int)) (Qs.name qs ^ " members order") ids (Qs.members qs);
+    List.iteri
+      (fun i id ->
+        Alcotest.(check int) (Printf.sprintf "%s index %d" (Qs.name qs) id) i (Qs.index qs id))
+      ids;
+    List.iter
+      (fun id ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s non-member %d" (Qs.name qs) id)
+          (-1) (Qs.index qs id);
+        Alcotest.(check bool) (Printf.sprintf "%s not mem %d" (Qs.name qs) id) false (Qs.mem qs id))
+      [ -1; 0; 2; 4; 8; 12; 100; min_int; max_int ]
+  in
+  check_system (Qs.majority [ 3; 7; 11 ]) [ 3; 7; 11 ];
+  check_system (Qs.rowa [ 11; 3; 7 ]) [ 11; 3; 7 ];
+  check_system (Qs.grid ~rows:2 ~cols:2 [ 9; 3; 11; 7 ]) [ 9; 3; 11; 7 ];
+  check_system
+    (Qs.weighted ~name:"w" ~members:[ (7, 3); (11, 1); (3, 1) ] ~read:2 ~write:4)
+    [ 7; 11; 3 ]
+
 let test_choose_read_is_quorum () =
   let rng = Dq_util.Rng.create 4L in
   List.iter
@@ -184,6 +209,7 @@ let () =
           Alcotest.test_case "predicates" `Quick test_threshold_predicates;
           Alcotest.test_case "validation" `Quick test_threshold_validation;
           Alcotest.test_case "nonconsecutive ids" `Quick test_nonconsecutive_member_ids;
+          Alcotest.test_case "index over nonconsecutive ids" `Quick test_index_nonconsecutive;
           Alcotest.test_case "counting thresholds" `Quick test_counting_thresholds;
         ] );
       ( "choice",

@@ -271,6 +271,165 @@ let test_oqs_expired_volume_blocks_validity () =
   Engine.run w.engine;
   Alcotest.(check bool) "expired later" false (Oqs.volume_valid_from oqs ~volume:0 ~iqs:1)
 
+(* --- Per-peer state over sparse member ids ------------------------------- *)
+
+(* IQS {3, 5, 7} and OQS {2, 5, 6} over nine servers: member ids are
+   neither zero-based nor contiguous, and node 5 sits at IQS slot 1 but
+   OQS slot 1 of a different list, so state filed under the wrong peer
+   or slot shows up as a wrong answer for a neighbour. *)
+let make_sparse_world ?object_lease_ms () =
+  let engine = Engine.create ~seed:3L () in
+  let topology = Topology.make ~n_servers:9 ~n_clients:1 () in
+  let config =
+    {
+      (Config.dqvl ~servers:(Topology.servers topology) ~volume_lease_ms:1_000.
+         ~proactive_renew:false ?object_lease_ms ())
+      with
+      Config.iqs = Dq_quorum.Quorum_system.majority [ 3; 5; 7 ];
+      oqs = Dq_quorum.Quorum_system.rowa [ 2; 5; 6 ];
+    }
+  in
+  let net = Net.create engine topology ~classify:M.classify () in
+  let sent = ref [] in
+  List.iter
+    (fun node -> Net.register net ~node (fun ~src:_ msg -> sent := (node, msg) :: !sent))
+    (Topology.nodes topology);
+  { engine; net; config; sent }
+
+let client = 9
+
+let raises_naming node f =
+  match f () with
+  | () -> Alcotest.failf "no Invalid_argument for non-member %d" node
+  | exception Invalid_argument msg ->
+    let needle = Printf.sprintf "node %d " node in
+    let rec found i =
+      i + String.length needle <= String.length msg
+      && (String.sub msg i (String.length needle) = needle || found (i + 1))
+    in
+    Alcotest.(check bool) (Printf.sprintf "message names node %d: %s" node msg) true (found 0)
+
+let test_iqs_sparse_peers () =
+  let w = make_sparse_world () in
+  let iqs = Iqs.create ~net:w.net ~clock:(Clock.perfect w.engine) ~config:w.config ~me:5 in
+  let lc_of name expected actual = Alcotest.(check bool) name true (Lc.equal expected actual) in
+  (* A holder reporting a higher epoch than granted makes the grantor
+     jump past it, for that holder only. *)
+  Iqs.handle iqs ~src:6 (M.Vol_renew_req { volume = 0; t0 = 0.; want = None; epoch = 4 });
+  Alcotest.(check int) "epoch of 6" 5 (Iqs.epoch iqs ~volume:0 ~oqs:6);
+  Alcotest.(check int) "epoch of 2" 0 (Iqs.epoch iqs ~volume:0 ~oqs:2);
+  Alcotest.(check int) "epoch of 5" 0 (Iqs.epoch iqs ~volume:0 ~oqs:5);
+  Alcotest.(check bool) "lease of 6" true (Iqs.lease_valid_for iqs ~volume:0 ~oqs:6);
+  Alcotest.(check bool) "no lease of 2" false (Iqs.lease_valid_for iqs ~volume:0 ~oqs:2);
+  Iqs.handle iqs ~src:2 (M.Vol_renew_req { volume = 0; t0 = 0.; want = None; epoch = 0 });
+  Iqs.handle iqs ~src:2 (M.Obj_renew_req { key; t0 = 0. });
+  Iqs.handle iqs ~src:6 (M.Inval_ack { key; lc = lc 1 });
+  lc_of "ack of 6" (lc 1) (Iqs.last_ack_lc iqs key ~oqs:6);
+  lc_of "ack of 2" Lc.zero (Iqs.last_ack_lc iqs key ~oqs:2);
+  Alcotest.(check bool) "6 ruled out by its ack" false (Iqs.callback_possible iqs key ~oqs:6);
+  Alcotest.(check bool) "2 may hold a callback" true (Iqs.callback_possible iqs key ~oqs:2);
+  (* Past every lease, a write queues delayed invalidations for the
+     peers that may hold a callback (2, and 5 which never renewed) and
+     none for 6, whose acknowledgment already settles it. *)
+  ignore (Engine.schedule w.engine ~delay:2_000. (fun () -> ()));
+  Engine.run w.engine;
+  Iqs.handle iqs ~src:client (M.Iqs_write_req { op = 1; key; value = "w"; lc = lc 4 });
+  flush w;
+  Alcotest.(check int) "delayed for 2" 1 (Iqs.delayed_count iqs ~volume:0 ~oqs:2);
+  Alcotest.(check int) "delayed for 5" 1 (Iqs.delayed_count iqs ~volume:0 ~oqs:5);
+  Alcotest.(check int) "none for 6" 0 (Iqs.delayed_count iqs ~volume:0 ~oqs:6);
+  (* 2's renewal carries its queue; the acknowledgment clears it and
+     counts as 2's ack, leaving 5's queue alone. *)
+  w.sent := [];
+  Iqs.handle iqs ~src:2 (M.Vol_renew_req { volume = 0; t0 = 2_000.; want = None; epoch = 0 });
+  flush w;
+  let carried =
+    List.filter_map
+      (fun (dst, m) ->
+        match m with
+        | M.Vol_renew_reply { delayed; _ } -> Some (dst, List.length delayed)
+        | _ -> None)
+      (captured w)
+  in
+  Alcotest.(check (list (pair int int))) "renewal reply to 2 carries one" [ (2, 1) ] carried;
+  Iqs.handle iqs ~src:2 (M.Vol_renew_ack { volume = 0; upto = lc 4 });
+  Alcotest.(check int) "2's queue cleared" 0 (Iqs.delayed_count iqs ~volume:0 ~oqs:2);
+  Alcotest.(check int) "5's queue kept" 1 (Iqs.delayed_count iqs ~volume:0 ~oqs:5);
+  lc_of "2 acked the write" (lc 4) (Iqs.last_ack_lc iqs key ~oqs:2);
+  lc_of "5 did not" Lc.zero (Iqs.last_ack_lc iqs key ~oqs:5);
+  (* Node 3 is an IQS member but no OQS member: it never holds leases. *)
+  raises_naming 3 (fun () -> Iqs.handle iqs ~src:3 (M.Inval_ack { key; lc = lc 1 }));
+  raises_naming 3 (fun () -> ignore (Iqs.epoch iqs ~volume:0 ~oqs:3))
+
+let test_iqs_sparse_object_grants () =
+  let w = make_sparse_world ~object_lease_ms:500. () in
+  let iqs = Iqs.create ~net:w.net ~clock:(Clock.perfect w.engine) ~config:w.config ~me:5 in
+  Iqs.handle iqs ~src:6 (M.Obj_renew_req { key; t0 = 0. });
+  Alcotest.(check bool) "6 holds a granted lease" true (Iqs.callback_possible iqs key ~oqs:6);
+  Alcotest.(check bool) "2 was never granted" false (Iqs.callback_possible iqs key ~oqs:2);
+  Alcotest.(check bool) "5 was never granted" false (Iqs.callback_possible iqs key ~oqs:5);
+  ignore (Engine.schedule w.engine ~delay:1_000. (fun () -> ()));
+  Engine.run w.engine;
+  Alcotest.(check bool) "6's lease lapsed" false (Iqs.callback_possible iqs key ~oqs:6)
+
+let test_oqs_sparse_peers () =
+  let w = make_sparse_world () in
+  let oqs =
+    Oqs.create ~net:w.net ~clock:(Clock.perfect w.engine) ~config:w.config
+      ~rng:(Engine.split_rng w.engine) ~me:5
+  in
+  let grant ?(epoch = 0) c =
+    { M.g_key = key; g_epoch = epoch; g_lc = lc c; g_value = "v"; g_lease_ms = infinity; g_t0 = 0. }
+  in
+  let vol_reply ?(epoch = 0) ?(delayed = []) ?grant src =
+    Oqs.handle oqs ~src
+      (M.Vol_renew_reply { volume = 0; lease_ms = 1_000.; epoch; t0 = 0.; delayed; grant })
+  in
+  Oqs.handle oqs ~src:7 (M.Obj_renew_reply { grant = grant 1 });
+  Alcotest.(check bool) "object from 7" true (Oqs.object_valid_from oqs key ~iqs:7);
+  Alcotest.(check bool) "not from 3" false (Oqs.object_valid_from oqs key ~iqs:3);
+  Alcotest.(check bool) "not from 5" false (Oqs.object_valid_from oqs key ~iqs:5);
+  (* A new epoch from 7 retires 7's object lease only. *)
+  vol_reply ~epoch:2 7;
+  Alcotest.(check int) "epoch from 7" 2 (Oqs.epoch_from oqs ~volume:0 ~iqs:7);
+  Alcotest.(check int) "epoch from 3" 0 (Oqs.epoch_from oqs ~volume:0 ~iqs:3);
+  Alcotest.(check bool) "volume from 7" true (Oqs.volume_valid_from oqs ~volume:0 ~iqs:7);
+  Alcotest.(check bool) "no volume from 3" false (Oqs.volume_valid_from oqs ~volume:0 ~iqs:3);
+  Alcotest.(check bool) "7's object retired" false (Oqs.object_valid_from oqs key ~iqs:7);
+  Alcotest.(check bool) "C needs two members" false (Oqs.is_locally_valid oqs key);
+  (* Leases from 3 and 5, a majority of {3, 5, 7}: condition C holds. *)
+  vol_reply ~grant:(grant 1) 3;
+  Alcotest.(check bool) "one member is not a quorum" false (Oqs.is_locally_valid oqs key);
+  vol_reply ~grant:(grant 1) 5;
+  Alcotest.(check bool) "C holds" true (Oqs.is_locally_valid oqs key);
+  (* A delayed invalidation from 5 invalidates 5's copy only. *)
+  flush w;
+  w.sent := [];
+  vol_reply ~delayed:[ (key, lc 4) ] 5;
+  Alcotest.(check bool) "5's copy invalid" false (Oqs.object_valid_from oqs key ~iqs:5);
+  Alcotest.(check bool) "3's copy valid" true (Oqs.object_valid_from oqs key ~iqs:3);
+  Alcotest.(check bool) "C lost" false (Oqs.is_locally_valid oqs key);
+  (* An invalidation from 3 is acknowledged to 3. *)
+  Oqs.handle oqs ~src:3 (M.Inval { key; lc = lc 6 });
+  flush w;
+  let acks =
+    List.filter_map
+      (fun (dst, m) ->
+        match m with
+        | M.Vol_renew_ack _ -> Some (dst, "vol_renew_ack")
+        | M.Inval_ack _ -> Some (dst, "inval_ack")
+        | _ -> None)
+      (captured w)
+  in
+  Alcotest.(check (list (pair int string)))
+    "acks go to their senders"
+    [ (5, "vol_renew_ack"); (3, "inval_ack") ]
+    acks;
+  Alcotest.(check bool) "3's copy invalid" false (Oqs.object_valid_from oqs key ~iqs:3);
+  (* Node 2 is an OQS member but no IQS member: it grants nothing. *)
+  raises_naming 2 (fun () -> Oqs.handle oqs ~src:2 (M.Inval { key; lc = lc 9 }));
+  raises_naming 6 (fun () -> ignore (Oqs.epoch_from oqs ~volume:0 ~iqs:6))
+
 let () =
   Alcotest.run "server_units"
     [
@@ -291,5 +450,11 @@ let () =
           Alcotest.test_case "volume reply" `Quick test_oqs_vol_reply_applies_delayed_and_acks;
           Alcotest.test_case "epoch mismatch" `Quick test_oqs_epoch_mismatch_invalidates;
           Alcotest.test_case "volume expiry" `Quick test_oqs_expired_volume_blocks_validity;
+        ] );
+      ( "sparse member ids",
+        [
+          Alcotest.test_case "iqs acks, epochs, delayed" `Quick test_iqs_sparse_peers;
+          Alcotest.test_case "iqs object grants" `Quick test_iqs_sparse_object_grants;
+          Alcotest.test_case "oqs leases and condition C" `Quick test_oqs_sparse_peers;
         ] );
     ]
