@@ -261,26 +261,34 @@ let run ?pool cfg =
 
   Dq_sim.Pdes.run ?pool pdes;
 
-  (* Deterministic merges: metrics commute; histories sort by
-     (invocation time, partition, partition-local id) and renumber. *)
+  (* Deterministic merges: metrics commute; histories merge in
+     (invocation time, partition, partition-local id) order and are
+     renumbered. A partition issues ids as its clock advances, and that
+     clock never goes backwards, so each partition's ops are already in
+     (invoked, id) order (checked while collecting them). Concatenating
+     the partitions in partition order and stable-sorting on [invoked]
+     alone therefore yields exactly that order: ties keep partition
+     order, then id order. *)
   let merged_metrics = Dq_telemetry.Metrics.create () in
   Array.iter (fun m -> Dq_telemetry.Metrics.merge_into ~src:m ~dst:merged_metrics) metrics;
-  let tagged =
-    List.concat
-      (List.mapi
-         (fun p h -> List.map (fun (op : History.op) -> (p, op)) (History.ops h))
-         (Array.to_list histories))
+  let in_invocation_order p h =
+    let ops = Array.of_list (History.ops h) in
+    for i = 1 to Array.length ops - 1 do
+      if not (ops.(i).History.invoked >= ops.(i - 1).History.invoked) then
+        invalid_arg
+          (Printf.sprintf "Sites.run: partition %d invoked op %d before op %d" p ops.(i).History.id
+             ops.(i - 1).History.id)
+    done;
+    ops
   in
-  let cmp (pa, (a : History.op)) (pb, (b : History.op)) =
-    let c = Float.compare a.invoked b.invoked in
-    if c <> 0 then c
-    else
-      let c = Int.compare pa pb in
-      if c <> 0 then c else Int.compare a.id b.id
+  let merged = Array.concat (Array.to_list (Array.mapi in_invocation_order histories)) in
+  Array.stable_sort
+    (fun (a : History.op) (b : History.op) -> Float.compare a.invoked b.invoked)
+    merged;
+  let rec renumber i acc =
+    if i < 0 then acc else renumber (i - 1) ({ (merged.(i)) with History.id = i } :: acc)
   in
-  let history =
-    List.sort cmp tagged |> List.mapi (fun i (_, (op : History.op)) -> { op with id = i })
-  in
+  let history = renumber (Array.length merged - 1) [] in
   let report = Regular_checker.check history in
   {
     ops_completed = Array.fold_left (fun acc h -> acc + History.completed_count h) 0 histories;

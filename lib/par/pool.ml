@@ -15,14 +15,14 @@ let chunk_ranges ~n ~chunk_size =
       (start, Stdlib.min chunk_size (n - start)))
 
 (* One parallel map in flight. Workers claim chunk indices from [next];
-   [completed] (guarded by the pool mutex) counts finished chunks so the
-   caller knows when the whole map is done. [run_chunk] never raises —
-   errors are recorded per chunk and re-raised by the caller. *)
+   [completed] counts finished chunks so the caller knows when the whole
+   map is done. [run_chunk] never raises — errors are recorded per chunk
+   and re-raised by the caller. *)
 type task = {
   run_chunk : int -> unit;
   n_chunks : int;
   next : int Atomic.t;
-  mutable completed : int;
+  completed : int Atomic.t;
 }
 
 type t = {
@@ -35,19 +35,36 @@ type t = {
   mutable workers : unit Domain.t list;
   n_jobs : int;
   busy : bool Atomic.t; (* a map is in flight; re-entrant maps go serial *)
+  posted : int Atomic.t; (* generation of the last task posted; -1 after shutdown *)
+  spins : int; (* polls before blocking on a condition; 0 when oversubscribed *)
 }
 
 let jobs t = t.n_jobs
+
+(* Waiting is spin-then-block. A worker that finished a task, and the
+   caller waiting for a map's last chunk, first poll for up to [spins]
+   [Domain.cpu_relax] rounds (about 30 ns each, so ~60 us) before
+   sleeping on a condition variable. Back-to-back short maps — a PDES
+   window is a few hundred microseconds — then hand over without an OS
+   wake-up, whose latency on a loaded machine is both large and
+   erratic. [Domain.cpu_relax] also serves stop-the-world requests, so
+   a spinning domain does not hold up a minor collection. *)
+let spin_budget = 2048
+
+let spin_until spins ready =
+  let rec go k = if k > 0 && not (ready ()) then (Domain.cpu_relax (); go (k - 1)) in
+  go spins
 
 let run_task t task =
   let rec claim () =
     let i = Atomic.fetch_and_add task.next 1 in
     if i < task.n_chunks then begin
       task.run_chunk i;
-      Mutex.lock t.mutex;
-      task.completed <- task.completed + 1;
-      if task.completed = task.n_chunks then Condition.broadcast t.finished;
-      Mutex.unlock t.mutex;
+      if Atomic.fetch_and_add task.completed 1 + 1 = task.n_chunks then begin
+        Mutex.lock t.mutex;
+        Condition.broadcast t.finished;
+        Mutex.unlock t.mutex
+      end;
       claim ()
     end
   in
@@ -56,6 +73,7 @@ let run_task t task =
 (* Each worker remembers the generation it last served so a task is never
    picked up twice by the same worker after its chunks run out. *)
 let rec worker_loop t last_gen =
+  spin_until t.spins (fun () -> Atomic.get t.posted <> last_gen);
   Mutex.lock t.mutex;
   let rec await () =
     if t.stop then None
@@ -88,6 +106,8 @@ let create ?jobs () =
       workers = [];
       n_jobs;
       busy = Atomic.make false;
+      posted = Atomic.make 0;
+      spins = (if n_jobs <= Domain.recommended_domain_count () then spin_budget else 0);
     }
   in
   t.workers <- List.init (n_jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
@@ -96,6 +116,7 @@ let create ?jobs () =
 let shutdown t =
   Mutex.lock t.mutex;
   t.stop <- true;
+  Atomic.set t.posted (-1);
   Condition.broadcast t.work;
   Mutex.unlock t.mutex;
   List.iter Domain.join t.workers;
@@ -124,15 +145,17 @@ let map_array ?(chunk_size = 1) t f input =
         done
       with e -> errors.(ci) <- Some (e, Printexc.get_raw_backtrace ())
     in
-    let task = { run_chunk; n_chunks; next = Atomic.make 0; completed = 0 } in
+    let task = { run_chunk; n_chunks; next = Atomic.make 0; completed = Atomic.make 0 } in
     Mutex.lock t.mutex;
     t.generation <- t.generation + 1;
     t.task <- Some (t.generation, task);
+    Atomic.set t.posted t.generation;
     Condition.broadcast t.work;
     Mutex.unlock t.mutex;
     run_task t task;
+    spin_until t.spins (fun () -> Atomic.get task.completed = task.n_chunks);
     Mutex.lock t.mutex;
-    while task.completed < task.n_chunks do
+    while Atomic.get task.completed < task.n_chunks do
       Condition.wait t.finished t.mutex
     done;
     t.task <- None;

@@ -11,7 +11,12 @@
     domain, which participates in every map; [jobs = 1] never spawns a
     domain and degenerates to [List.map]/[Array.map] on the caller. Work is
     handed out as contiguous chunks claimed dynamically from an atomic
-    counter, so heterogeneous item costs still balance. *)
+    counter, so heterogeneous item costs still balance.
+
+    Idle workers, and a caller waiting for a map's last chunk, spin for
+    about 60 us before blocking, so back-to-back short maps (one per
+    PDES window) hand over without an OS wake-up. A pool with more jobs
+    than {!Domain.recommended_domain_count} blocks at once. *)
 
 type t
 (** A worker pool. Not itself thread-safe: drive a given pool from one

@@ -22,6 +22,7 @@ type t = {
   queue : event Event_heap.t;
   wheel : event Timer_wheel.t;
   mutable fired : int; (* events executed since creation *)
+  drain : time:float -> seq:int -> event -> unit; (* wheel slot -> heap *)
   root_rng : Dq_util.Rng.t;
   bus : Dq_telemetry.Bus.t;
 }
@@ -29,14 +30,16 @@ type t = {
 let create ?(seed = 1L) () =
   (* The dummy only fills vacated heap/wheel slots; it is never scheduled. *)
   let dummy = { time = 0.; seq = -1; action = ignore; cancelled = true; live = ref 0 } in
+  let queue = Event_heap.create ~dummy in
   let t =
     {
       clock = 0.;
       next_seq = 0;
       live = ref 0;
-      queue = Event_heap.create ~dummy;
+      queue;
       wheel = Timer_wheel.create ~dummy ();
       fired = 0;
+      drain = (fun ~time ~seq ev -> Event_heap.push queue ~time ~seq ev);
       root_rng = Dq_util.Rng.create seed;
       bus = Dq_telemetry.Bus.create ();
     }
@@ -55,6 +58,7 @@ let split_rng t = Dq_util.Rng.split t.root_rng
 let events_executed t = t.fired
 
 let schedule_at t ~time f =
+  if Float.is_nan time then invalid_arg "Engine.schedule_at: time is NaN";
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time t.clock);
@@ -67,7 +71,7 @@ let schedule_at t ~time f =
   ev
 
 let schedule t ~delay f =
-  if delay < 0. then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.) then invalid_arg "Engine.schedule: negative or NaN delay";
   schedule_at t ~time:(t.clock +. delay) f
 
 (* [live] is decremented exactly once per event: at cancel time, or when
@@ -82,67 +86,66 @@ let is_pending ev = not ev.cancelled
 
 let pending_events t = !(t.live)
 
+(* The loop below allocates nothing per event: no option boxes from
+   the heap, no per-call closures ([drain] is built once in [create]).
+   [settle] brings the next event that will actually fire to the heap
+   top; [fire] runs it. *)
+
 (* Migrate wheel slots into the heap until the heap's minimum is
    strictly below the wheel boundary (and hence the global minimum),
-   or the wheel empties. *)
+   or the wheel empties. An empty heap's minimum is [infinity]. *)
 let refill t =
-  let continue_ = ref (Timer_wheel.length t.wheel > 0) in
-  while !continue_ do
-    (match Event_heap.peek t.queue with
-    | Some ev when ev.time < Timer_wheel.boundary t.wheel -> continue_ := false
-    | Some _ | None ->
-      Timer_wheel.advance t.wheel ~drain:(fun ~time ~seq ev ->
-          Event_heap.push t.queue ~time ~seq ev));
-    if Timer_wheel.length t.wheel = 0 then continue_ := false
+  while
+    Timer_wheel.length t.wheel > 0
+    && not (Event_heap.min_time t.queue < Timer_wheel.boundary t.wheel)
+  do
+    Timer_wheel.advance t.wheel ~drain:t.drain
   done
 
-let step t =
-  let rec next () =
-    refill t;
-    match Event_heap.pop t.queue with
-    | None -> false
-    | Some ev when ev.cancelled -> next ()
-    | Some ev ->
-      t.clock <- ev.time;
-      ev.cancelled <- true;
-      decr t.live;
-      t.fired <- t.fired + 1;
-      ev.action ();
-      true
-  in
-  next ()
-
-(* The time of the next event that will actually fire, dropping
-   cancelled events from the heap top so [Event_heap.peek] reflects
-   it. *)
-let rec next_time t =
+(* Refill, then drop cancelled events from the heap top: afterwards the
+   heap is empty or its top is the next event to fire. *)
+let rec settle t =
   refill t;
-  match Event_heap.peek t.queue with
-  | None -> None
-  | Some ev when ev.cancelled ->
-    ignore (Event_heap.pop t.queue);
-    next_time t
-  | Some ev -> Some ev.time
+  if (not (Event_heap.is_empty t.queue)) && (Event_heap.top t.queue).cancelled then begin
+    Event_heap.drop_top t.queue;
+    settle t
+  end
+
+(* Pop and run the settled top event. *)
+let fire t =
+  let ev = Event_heap.top t.queue in
+  Event_heap.drop_top t.queue;
+  t.clock <- ev.time;
+  ev.cancelled <- true;
+  decr t.live;
+  t.fired <- t.fired + 1;
+  ev.action ()
+
+let step t =
+  settle t;
+  if Event_heap.is_empty t.queue then false
+  else begin
+    fire t;
+    true
+  end
+
+let next_time t =
+  settle t;
+  if Event_heap.is_empty t.queue then None else Some (Event_heap.min_time t.queue)
 
 let run ?until ?max_events t =
-  let fired = ref 0 in
-  let budget_ok () =
-    match max_events with None -> true | Some m -> !fired < m
-  in
-  let horizon_ok () =
-    match until with
-    | None -> true
-    | Some limit -> (
-      match next_time t with None -> false | Some time -> time <= limit)
-  in
-  let rec loop () =
-    if budget_ok () && horizon_ok () then
-      if step t then begin
-        incr fired;
-        loop ()
+  let limit = match until with None -> Float.infinity | Some limit -> limit in
+  let budget = match max_events with None -> max_int | Some m -> m in
+  let rec loop fired =
+    if fired < budget then begin
+      settle t;
+      if (not (Event_heap.is_empty t.queue)) && Event_heap.min_time t.queue <= limit then begin
+        fire t;
+        loop (fired + 1)
       end
+    end
   in
-  loop ();
+  loop 0;
   match until with
   | Some limit when t.clock < limit -> t.clock <- limit
   | Some _ | None -> ()
@@ -154,13 +157,13 @@ let run_while t cond =
 (* PDES window execution: fire events strictly below [limit], leaving
    the clock at the last fired event (never advanced to [limit], so a
    partition can still accept cross-partition posts inside the next
-   window). *)
+   window). An empty heap reads [infinity] and stops the loop. *)
 let run_before t ~limit =
   let rec loop () =
-    match next_time t with
-    | Some time when time < limit ->
-      ignore (step t);
+    settle t;
+    if Event_heap.min_time t.queue < limit then begin
+      fire t;
       loop ()
-    | Some _ | None -> ()
+    end
   in
   loop ()

@@ -73,16 +73,26 @@ let rec sift_down t i =
     sift_down t smallest
   end
 
+let min_time t = if t.len = 0 then Float.infinity else t.times.(0)
+
+let top t =
+  if t.len = 0 then invalid_arg "Event_heap.top: empty heap";
+  t.data.(0)
+
+let drop_top t =
+  if t.len = 0 then invalid_arg "Event_heap.drop_top: empty heap";
+  let last = t.len - 1 in
+  t.len <- last;
+  t.times.(0) <- t.times.(last);
+  t.seqs.(0) <- t.seqs.(last);
+  t.data.(0) <- t.data.(last);
+  t.data.(last) <- t.dummy;
+  if last > 0 then sift_down t 0
+
 let pop t =
   if t.len = 0 then None
   else begin
     let top = t.data.(0) in
-    let last = t.len - 1 in
-    t.len <- last;
-    t.times.(0) <- t.times.(last);
-    t.seqs.(0) <- t.seqs.(last);
-    t.data.(0) <- t.data.(last);
-    t.data.(last) <- t.dummy;
-    if last > 0 then sift_down t 0;
+    drop_top t;
     Some top
   end

@@ -29,3 +29,17 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the payload of the smallest key. *)
+
+(** {2 Allocation-free access}
+
+    The engine's loop runs these once per event, so none of them
+    allocates an option. *)
+
+val min_time : 'a t -> float
+(** Time of the smallest key; [infinity] when the heap is empty. *)
+
+val top : 'a t -> 'a
+(** Payload of the smallest key. Raises [Invalid_argument] on an empty heap. *)
+
+val drop_top : 'a t -> unit
+(** Remove the smallest key. Raises [Invalid_argument] on an empty heap. *)

@@ -122,6 +122,95 @@ let test_run_while () =
   Engine.run_while e (fun () -> !count < 4);
   Alcotest.(check int) "condition stops the loop" 4 !count
 
+let test_nan_rejected () =
+  let e = Engine.create () in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "schedule_at nan" true
+    (raises (fun () -> Engine.schedule_at e ~time:Float.nan ignore));
+  Alcotest.(check bool) "schedule nan" true
+    (raises (fun () -> Engine.schedule e ~delay:Float.nan ignore));
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending_events e)
+
+(* A cancelled event may sit at the heap top (times below the wheel's
+   first boundary) or in a wheel slot; neither may surface through
+   [next_time], [step] or [run_before], nor count as executed. *)
+let test_cancelled_skipped () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  let heap_top = Engine.schedule e ~delay:0.2 (note "heap") in
+  let in_wheel = Engine.schedule e ~delay:5. (note "wheel") in
+  ignore (Engine.schedule e ~delay:7. (note "a"));
+  let in_wheel' = Engine.schedule e ~delay:9. (note "wheel'") in
+  ignore (Engine.schedule e ~delay:12. (note "b"));
+  Engine.cancel heap_top;
+  Engine.cancel in_wheel;
+  Engine.cancel in_wheel';
+  Alcotest.(check (option (float 0.))) "next_time skips" (Some 7.) (Engine.next_time e);
+  Alcotest.(check bool) "step fires a live event" true (Engine.step e);
+  Alcotest.(check (list string)) "after step" [ "a" ] (List.rev !log);
+  Engine.run_before e ~limit:12.;
+  Alcotest.(check (list string)) "window below b" [ "a" ] (List.rev !log);
+  Alcotest.(check (float 0.)) "clock at last fired" 7. (Engine.now e);
+  Engine.run_before e ~limit:13.;
+  Alcotest.(check (list string)) "window to b" [ "a"; "b" ] (List.rev !log);
+  Alcotest.(check int) "cancelled not executed" 2 (Engine.events_executed e);
+  Alcotest.(check (option (float 0.))) "drained" None (Engine.next_time e);
+  Alcotest.(check bool) "step on empty" false (Engine.step e)
+
+(* Allocation guard for the event loop: 64 self-rescheduling closure
+   chains whose delays cycle through {0.05, 1, 8, 80, 250} ms, so events
+   land in the heap and both wheel levels. The chains allocate only
+   the engine's event record and the boxed delay per event; the loop
+   itself must add next to nothing (option boxes, per-call closures). *)
+let chain_delays = [| 0.05; 1.; 8.; 80.; 250. |]
+
+let chains () =
+  let e = Engine.create () in
+  let k = Array.make 64 0 in
+  for c = 0 to 63 do
+    let rec tick () =
+      k.(c) <- k.(c) + 1;
+      ignore (Engine.schedule e ~delay:chain_delays.((c + k.(c)) mod 5) tick)
+    in
+    ignore (Engine.schedule e ~delay:(0.01 *. float_of_int c) tick)
+  done;
+  (* Warm up: grow the heap and wheel-slot buffers to steady state. *)
+  Engine.run ~max_events:20_000 e;
+  e
+
+let words_per_event e drive =
+  let fired = Engine.events_executed e in
+  let before = Gc.minor_words () in
+  drive ();
+  let words = Gc.minor_words () -. before in
+  let n = Engine.events_executed e - fired in
+  (n, words /. float_of_int n)
+
+let test_loop_allocation () =
+  let bound = 24. in
+  let e = chains () in
+  let n_run, via_run =
+    words_per_event e (fun () -> Engine.run ~until:(Engine.now e +. 80_000.) e)
+  in
+  let stop = Engine.events_executed e + 80_000 in
+  let n_while, via_while =
+    words_per_event e (fun () -> Engine.run_while e (fun () -> Engine.events_executed e < stop))
+  in
+  let n_before, via_before =
+    words_per_event e (fun () ->
+        let t0 = Engine.now e in
+        for w = 1 to 1_000 do
+          Engine.run_before e ~limit:(t0 +. (80. *. float_of_int w))
+        done)
+  in
+  Printf.printf "words/event: run %.1f (%d), run_while %.1f (%d), run_before %.1f (%d)\n"
+    via_run n_run via_while n_while via_before n_before;
+  Alcotest.(check bool) ">= 200k events" true (n_run + n_while + n_before >= 200_000);
+  Alcotest.(check bool) "run" true (via_run <= bound);
+  Alcotest.(check bool) "run_while" true (via_while <= bound);
+  Alcotest.(check bool) "run_before" true (via_before <= bound)
+
 let test_determinism () =
   (* Two engines with the same seed and the same program produce the
      same random draws interleaved with events. *)
@@ -176,6 +265,9 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected;
           Alcotest.test_case "run while" `Quick test_run_while;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "nan rejected" `Quick test_nan_rejected;
+          Alcotest.test_case "cancelled events skipped" `Quick test_cancelled_skipped;
+          Alcotest.test_case "event loop allocation" `Quick test_loop_allocation;
         ] );
       ("property", List.map QCheck_alcotest.to_alcotest [ prop_events_fire_in_order ]);
     ]

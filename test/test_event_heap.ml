@@ -29,6 +29,20 @@ let test_peek_does_not_remove () =
   Alcotest.(check (option int)) "peek" (Some 9) (H.peek h);
   Alcotest.(check int) "size unchanged" 1 (H.size h)
 
+let test_top_accessors () =
+  let h = heap_of [ ((3., 0), 30); ((1., 2), 12); ((1., 1), 11) ] in
+  Alcotest.(check (float 0.)) "min_time" 1. (H.min_time h);
+  Alcotest.(check int) "top" 11 (H.top h);
+  H.drop_top h;
+  Alcotest.(check int) "next top" 12 (H.top h);
+  H.drop_top h;
+  H.drop_top h;
+  Alcotest.(check (float 0.)) "empty min_time" Float.infinity (H.min_time h);
+  Alcotest.check_raises "top on empty" (Invalid_argument "Event_heap.top: empty heap") (fun () ->
+      ignore (H.top h));
+  Alcotest.check_raises "drop_top on empty" (Invalid_argument "Event_heap.drop_top: empty heap")
+    (fun () -> H.drop_top h)
+
 let test_interleaved () =
   let h = H.create ~dummy:(-1) in
   H.push h ~time:3. ~seq:0 3;
@@ -89,6 +103,7 @@ let () =
           Alcotest.test_case "time order" `Quick test_time_order;
           Alcotest.test_case "ties broken by seq" `Quick test_ties_broken_by_seq;
           Alcotest.test_case "peek" `Quick test_peek_does_not_remove;
+          Alcotest.test_case "top, drop_top, min_time" `Quick test_top_accessors;
           Alcotest.test_case "interleaved" `Quick test_interleaved;
         ] );
       ( "property",

@@ -90,6 +90,33 @@ let test_reentrant_map_falls_back_serial () =
       in
       Alcotest.(check (list int)) "nested" [ 3; 6; 9; 12 ] result)
 
+(* Back-to-back short maps, as PDES windows issue them: idle workers
+   and the waiting caller spin before blocking, so most hand-overs
+   happen without a condition variable. Every map must still see each
+   chunk exactly once, including when one chunk outlasts the spin and
+   the caller blocks. *)
+let test_back_to_back_maps () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let input = Array.init 8 Fun.id in
+          for round = 1 to 2000 do
+            let slow = round mod 500 = 0 in
+            let f i =
+              if slow && i = 7 then begin
+                (* About 3 ms: well past the pool's ~2k-poll spin. *)
+                for _ = 1 to 100_000 do
+                  Domain.cpu_relax ()
+                done
+              end;
+              (round * 8) + i
+            in
+            let got = Pool.map_array pool f input in
+            if got <> Array.map (fun i -> (round * 8) + i) input then
+              Alcotest.failf "jobs=%d round %d: wrong map result" jobs round
+          done))
+    [ 2; 3 ]
+
 let test_default_jobs_env () =
   Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
 
@@ -118,6 +145,7 @@ let () =
           Alcotest.test_case "pool reusable after error" `Quick test_pool_reusable_after_error;
           Alcotest.test_case "re-entrant map is serial" `Quick
             test_reentrant_map_falls_back_serial;
+          Alcotest.test_case "back-to-back short maps" `Quick test_back_to_back_maps;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_env;
           QCheck_alcotest.to_alcotest prop_map_matches_list_map;
         ] );

@@ -156,6 +156,64 @@ let test_determinism_campaign () =
           Alcotest.(check bool) (name ^ ": progress") true (serial.Sites.ops_completed > 0))
         campaign_configs)
 
+(* {2 Merged-history golden}
+
+   One lossy, crashy, batched config pinned to the values the merge
+   produced when it was a tuple-tagged sort on (invoked, partition,
+   partition-local id). Intra-site batching rounds local deliveries to
+   multiples of [batch_ms], so clients at different sites invoke at
+   exactly the same time: the tie order across partitions is part of
+   what the digest pins. *)
+
+let merge_golden_config =
+  {
+    Sites.default with
+    Sites.n_sites = 4;
+    clients_per_site = 3;
+    ops_per_client = 40;
+    remote_ratio = 0.3;
+    loss = 0.03;
+    batch_ms = 5.;
+    crash_sites = 2;
+    seed = 2024L;
+  }
+
+let history_digest (ops : Dq_harness.History.op list) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (op : Dq_harness.History.op) ->
+      Printf.bprintf b "%d %d %h %s %s\n" op.id op.client op.invoked op.value
+        (match op.lc with None -> "-" | Some lc -> Dq_storage.Lc.to_string lc))
+    ops;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Ops invoked at the same instant as the previous op in merged order
+   but issued by a client of another site (another partition). *)
+let cross_partition_ties (cfg : Sites.config) (ops : Dq_harness.History.op list) =
+  let site (op : Dq_harness.History.op) = (op.client - cfg.Sites.n_sites) / cfg.Sites.clients_per_site in
+  let rec count acc = function
+    | (a : Dq_harness.History.op) :: (b :: _ as rest) ->
+      count (if Float.equal a.invoked b.invoked && site a <> site b then acc + 1 else acc) rest
+    | [ _ ] | [] -> acc
+  in
+  count 0 ops
+
+let test_merge_golden () =
+  let cfg = merge_golden_config in
+  let r = Sites.run cfg in
+  let ops = r.Sites.history in
+  Alcotest.(check int) "events" 2032 r.Sites.events;
+  Alcotest.(check int) "windows" 49 r.Sites.windows;
+  Alcotest.(check int) "ops completed" 475 r.Sites.ops_completed;
+  Alcotest.(check int) "ops gave up" 5 r.Sites.ops_gave_up;
+  Alcotest.(check string) "history digest" "9ab14e5c77ca0954f794c8e5cf22150f" (history_digest ops);
+  Alcotest.(check bool) "cross-partition ties in invoked" true (cross_partition_ties cfg ops > 0);
+  Alcotest.(check (list int)) "ids renumbered densely"
+    (List.init (List.length ops) Fun.id)
+    (List.map (fun (op : Dq_harness.History.op) -> op.id) ops);
+  Dq_par.Pool.with_pool ~jobs:2 (fun pool ->
+      check_identical "golden" r (Sites.run ~pool cfg))
+
 let test_crash_windows_cause_give_ups () =
   let cfg =
     {
@@ -211,6 +269,7 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "serial = parallel campaign" `Quick test_determinism_campaign;
+          Alcotest.test_case "merged history golden" `Quick test_merge_golden;
           Alcotest.test_case "crash windows" `Quick test_crash_windows_cause_give_ups;
           Alcotest.test_case "batched delivery" `Quick test_batching_reduces_events;
         ] );
